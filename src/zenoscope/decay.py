@@ -19,10 +19,19 @@ stops once a panel contributes less than ``rel_tol`` of the running sum
 and the inverse-square envelope bound on the remainder is equally small;
 a hard truncation with a power-law remainder bound applies at
 ``max_omega_factor`` times the cutoff.
+
+Each point makes one reservoir call.  The Gauss-Legendre nodes are
+computed once per order, and the unclipped near-region nodes, weights and
+sinc^2(u/2) - the same in u for every nu - once per configuration; the
+far-field panels and the partial lobe at omega = 0 are gathered with them
+into a single array.  The sums run on the same numpy calls over the same
+contiguous lengths as a per-region evaluation would, so the results do
+not depend on how the nodes are gathered.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -116,18 +125,26 @@ def fgr_rate(reservoir, omega0: float) -> float:
     return _TWO_PI * float(reservoir(omega0))
 
 
+_GROWTH = 1.25  # far-field panel width ratio
+
+
+@functools.lru_cache(maxsize=None)
 def _gl_cache(n: int):
-    return np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes and weights of order n on [-1, 1], read-only."""
+    xi, wi = np.polynomial.legendre.leggauss(n)
+    xi.flags.writeable = False
+    wi.flags.writeable = False
+    return xi, wi
 
 
 def _panel_nodes(edges: np.ndarray, n: int):
-    """GL nodes and weights for each consecutive panel in ``edges``."""
+    """Flat GL nodes and weights for each consecutive panel in ``edges``."""
     xi, wi = _gl_cache(n)
     a = edges[:-1][:, None]
     b = edges[1:][:, None]
     nodes = 0.5 * (a + b) + 0.5 * (b - a) * xi[None, :]
     weights = 0.5 * (b - a) * wi[None, :]
-    return nodes, weights
+    return nodes.ravel(), weights.ravel()
 
 
 def _aligned_geometric(start: float, end: float, growth: float) -> np.ndarray:
@@ -144,15 +161,57 @@ def _aligned_geometric(start: float, end: float, growth: float) -> np.ndarray:
     return np.asarray(out)
 
 
+def _near_edges(lo: float, hi: float) -> np.ndarray:
+    """Lobe boundaries of the near region [lo, hi]."""
+    k_lo = math.floor(lo / _TWO_PI)
+    k_hi = math.ceil(hi / _TWO_PI)
+    edges = np.clip(_TWO_PI * np.arange(k_lo, k_hi + 1), lo, hi)
+    # ascending, so dropping repeats needs no np.unique, whose first call
+    # imports numpy.ma (about 1.6 MB resident)
+    return edges[np.append(True, edges[1:] != edges[:-1])]
+
+
+@functools.lru_cache(maxsize=8)
+def _shared_near(near_lobes: int, n: int):
+    """Nodes, weights and sinc^2(u/2) of the unclipped near region, read-only.
+
+    Every nu whose integration range covers all ``near_lobes`` lobes on both
+    sides of resonance integrates exactly these nodes.
+    """
+    lobe_k = _TWO_PI * near_lobes
+    u, weights = _panel_nodes(_near_edges(-lobe_k, lobe_k), n)
+    arrays = (u, weights, sinc_sq(0.5 * u))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _telescoped(dh: np.ndarray) -> float:
+    """Bound on the cosine part of panels whose boundaries give ``dh``.
+
+    ``dh`` is the centered difference of the smooth part 2 R/u^2 at the
+    panel boundaries; the cosine integrals telescope to these terms.
+    """
+    return abs(dh[0]) + abs(dh[-1]) + float(np.abs(np.diff(dh)).sum())
+
+
+def _reservoir_values(reservoir, omega0: float, nu: float, parts: list) -> list:
+    """R(max(omega0 + nu u, 0)) for each array u in ``parts``, in one call."""
+    omega = np.maximum(omega0 + nu * np.concatenate(parts), 0.0)
+    # a callable may return one value for all frequencies, as a flat spectrum can
+    values = np.broadcast_to(reservoir(omega), omega.shape)
+    return np.split(values, np.cumsum([u.size for u in parts])[:-1])
+
+
 def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
                              cfg: QuadratureConfig | None = None) -> DecayResult:
     """Rate ratio Gamma/Gamma0 by direct quadrature of the overlap integral.
 
-    ``reservoir`` is any callable R(omega) accepting numpy arrays and
-    vanishing fast enough at infinity; the package reservoir types
-    additionally expose the metadata (cutoff, power-law exponents) used for
-    truncation and remainder bounds.  Results for nu >= omega0 carry
-    ``rwa_warning=True``: the overlap formula itself is outside its
+    ``reservoir`` is any callable R(omega) acting elementwise on 1-D numpy
+    arrays and vanishing fast enough at infinity; the package reservoir
+    types additionally expose the metadata (cutoff, power-law exponents)
+    used for truncation and remainder bounds.  Results for nu >= omega0
+    carry ``rwa_warning=True``: the overlap formula itself is outside its
     rotating-wave validity domain there.
     """
     if cfg is None:
@@ -182,81 +241,73 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
     u_max = (omega_max - omega0) / nu
     if u_max <= u_min:
         raise DomainError("truncation frequency must exceed omega0")
-    K = cfg.near_lobes
-    n_gl = cfg.nodes_per_lobe
-    growth = 1.25
+    n = cfg.nodes_per_lobe
+    lobe_k = _TWO_PI * cfg.near_lobes
 
-    def exact_integrand(u):
-        w = np.maximum(omega0 + nu * u, 0.0)
-        return sinc_sq(0.5 * u) * reservoir(w)
+    # --- panels in u -------------------------------------------------------
+    # Near resonance every lobe is integrated exactly with the full kernel
+    # sinc^2(u/2) R.  Each far-field side takes the smooth part 2 R/u^2 at
+    # its nodes and, for the error bound, half a unit either side of its
+    # panel bounds; the partial lobe down to omega = 0 is exact again.
+    if u_min > -lobe_k or u_max < lobe_k:
+        near_u, near_w = _panel_nodes(_near_edges(max(u_min, -lobe_k), min(u_max, lobe_k)), n)
+        near_s = sinc_sq(0.5 * near_u)
+    else:
+        near_u, near_w, near_s = _shared_near(cfg.near_lobes, n)
+    parts = {"near": near_u}
+    weights = {}
+    far = {}
+    if u_min < -lobe_k:
+        aligned_end = _TWO_PI * math.floor(-u_min / _TWO_PI)
+        if aligned_end > lobe_k:
+            far["below"] = -_aligned_geometric(lobe_k, aligned_end, _GROWTH)[::-1]
+        if u_min < -aligned_end:
+            parts["tail"], weights["tail"] = _panel_nodes(np.array([u_min, -aligned_end]), n)
+    if u_max > lobe_k:
+        far["above"] = _aligned_geometric(lobe_k, u_max, _GROWTH)
+    for side, edges in far.items():
+        parts[side], weights[side] = _panel_nodes(edges, n)
+        parts[side + "+"] = edges + 0.5
+        parts[side + "-"] = edges - 0.5
 
-    def smooth_part(u):
-        # lobe-averaged kernel times reservoir: 2 R(omega0 + nu u) / u^2
-        w = np.maximum(omega0 + nu * u, 0.0)
-        return 2.0 * reservoir(w) / (u * u)
+    r = dict(zip(parts, _reservoir_values(reservoir, omega0, nu, list(parts.values()))))
 
-    def d_smooth(u):
-        # centered difference, unit step in u; used only in error bounds
-        return smooth_part(u + 0.5) - smooth_part(u - 0.5)
+    def smooth(key):
+        return 2.0 * r[key] / (parts[key] * parts[key])
 
-    # --- near region: exact per-lobe Gauss-Legendre ----------------------
-    near_lo = max(u_min, -_TWO_PI * K)
-    near_hi = min(u_max, _TWO_PI * K)
-    k_lo = math.floor(near_lo / _TWO_PI)
-    k_hi = math.ceil(near_hi / _TWO_PI)
-    edges = np.unique(np.clip(_TWO_PI * np.arange(k_lo, k_hi + 1), near_lo, near_hi))
-    nodes, weights = _panel_nodes(edges, n_gl)
-    gamma_near = float(np.dot(exact_integrand(nodes.ravel()), weights.ravel()))
-
+    gamma_near = float(np.dot(near_s * r["near"], near_w))
     err_abs = 0.0
 
-    # --- far region below resonance: walk toward omega = 0 ---------------
+    # --- far region below resonance, then the final partial lobe -------------
     gamma_below = 0.0
-    if u_min < -_TWO_PI * K:
-        aligned_end = _TWO_PI * math.floor(-u_min / _TWO_PI)
-        if aligned_end > _TWO_PI * K:
-            bounds = _aligned_geometric(_TWO_PI * K, aligned_end, growth)
-            neg_edges = -bounds[::-1]
-            nodes, weights = _panel_nodes(neg_edges, n_gl)
-            gamma_below += float(np.dot(smooth_part(nodes.ravel()), weights.ravel()))
-            dh = d_smooth(neg_edges)
-            err_abs += abs(dh[0]) + abs(dh[-1]) + float(np.abs(np.diff(dh)).sum())
-        # final partial lobe down to omega = 0, exact kernel
-        lower_edge = -aligned_end
-        if u_min < lower_edge:
-            nodes, weights = _panel_nodes(np.array([u_min, lower_edge]), n_gl)
-            gamma_below += float(np.dot(exact_integrand(nodes.ravel()), weights.ravel()))
+    if "below" in far:
+        gamma_below += float(np.dot(smooth("below"), weights["below"]))
+        err_abs += _telescoped(smooth("below+") - smooth("below-"))
+    if "tail" in parts:
+        gamma_below += float(np.dot(sinc_sq(0.5 * parts["tail"]) * r["tail"], weights["tail"]))
 
-    # --- far region above resonance: panel walk with stopping rule -------
+    # --- far region above resonance: stop at the first panel that is small
+    # and leaves a small remainder bound ----------------------------------------
+    beyond = _beyond_truncation_bound(reservoir, omega0, nu, omega_max, truncated_by_support)
     gamma_above = 0.0
     converged = True
-    if u_max > _TWO_PI * K:
-        bounds = _aligned_geometric(_TWO_PI * K, u_max, growth)
-        nodes, weights = _panel_nodes(bounds, n_gl)
-        vals = smooth_part(nodes.ravel()) * weights.ravel()
-        per_panel = vals.reshape(len(bounds) - 1, n_gl).sum(axis=1)
+    if "above" in far:
+        per_panel = (smooth("above") * weights["above"]).reshape(-1, n).sum(axis=1)
         prefix = np.cumsum(per_panel)
         suffix = prefix[-1] - prefix
         base = gamma_near + gamma_below
-        beyond = _beyond_truncation_bound(reservoir, omega0, nu, omega_max,
-                                          truncated_by_support)
-        stop = len(per_panel) - 1
-        for i in range(len(per_panel)):
-            running = base + prefix[i]
-            remainder_bound = 2.0 * suffix[i] + beyond
-            if per_panel[i] < cfg.rel_tol * running and remainder_bound < cfg.rel_tol * running:
-                stop = i
-                break
+        running = base + prefix
+        small = ((per_panel < cfg.rel_tol * running)
+                 & (2.0 * suffix + beyond < cfg.rel_tol * running))
+        stop = int(np.argmax(small)) if small.any() else len(per_panel) - 1
         gamma_above = float(prefix[stop])
         remainder_bound = 2.0 * float(suffix[stop]) + beyond
         err_abs += remainder_bound
         if stop == len(per_panel) - 1 and remainder_bound >= cfg.rel_tol * (base + prefix[stop]):
             converged = False
-        dh = d_smooth(bounds[: stop + 2])
-        err_abs += abs(dh[0]) + abs(dh[-1]) + float(np.abs(np.diff(dh)).sum())
+        err_abs += _telescoped((smooth("above+") - smooth("above-"))[: stop + 2])
     else:
-        err_abs += _beyond_truncation_bound(reservoir, omega0, nu, omega_max,
-                                            truncated_by_support)
+        err_abs += beyond
 
     gamma = gamma_near + gamma_below + gamma_above
     if not (gamma > 0 and math.isfinite(gamma)):

@@ -2,10 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from zenoscope import cli
 from zenoscope.cli import FIGURE2_HEADER, SWEEP_HEADER, SweepSpec, dumps_json, main
+from zenoscope.decay import modified_rate_quadrature
 from zenoscope.errors import DomainError
+from zenoscope.profile import MeasurementSchedule
+from zenoscope.reservoir import SimpleReservoir
 
 
 def run_cli(capsys, *argv):
@@ -37,7 +42,9 @@ def test_rate_analytic_quadrupole(capsys):
     assert doc["ratio"] == pytest.approx(6.3795392539795, rel=1e-10)
     assert doc["method"] == "analytic_simple"
     assert doc["rwa_warning"] is False
-    assert set(doc) == {"ratio", "gamma0", "method", "err_estimate", "rwa_warning"}
+    assert doc["converged"] is True
+    assert set(doc) == {"ratio", "gamma0", "method", "err_estimate", "rwa_warning",
+                        "converged"}
 
 
 def test_rate_analytic_dipole_is_unity(capsys):
@@ -53,6 +60,19 @@ def test_rate_quadrature(capsys):
     doc = json.loads(out)
     assert doc["method"] == "quadrature"
     assert doc["ratio"] == pytest.approx(6.485, rel=1e-3)
+    assert doc["converged"] is True
+
+
+def test_rate_reports_unconverged_quadrature(capsys, monkeypatch):
+    # a tail heavy enough that the truncation bound exceeds rel_tol at nu = 0.1
+    heavy = SimpleReservoir(d=1.0, eta=1, mu=2, omega_x=10.0)
+    monkeypatch.setattr(cli, "_resolve_transition", lambda spec: (heavy, 1.0))
+    code, out, _ = run_cli(capsys, "rate", "--transition", "heavy", "--nu", "0.1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["converged"] is False
+    assert list(doc) == ["ratio", "gamma0", "method", "err_estimate", "rwa_warning",
+                         "converged"]
 
 
 def test_rate_unknown_transition(capsys):
@@ -132,6 +152,25 @@ def test_sweep_deterministic_and_job_invariant(capsys, monkeypatch):
     assert out3 == out1
     _, out4, _ = run_cli(capsys, *args, "--jobs", "2")
     assert out4 == out1
+
+
+def test_sweep_failed_points_keep_their_own_rows(capsys, monkeypatch):
+    def sinking(omega):
+        # between nu = 1e-2 and 0.3 the modified rate turns negative above ~0.06
+        w = np.asarray(omega, dtype=float)
+        return np.where(w < 5.0, 1.0, np.where(w <= 6.0, -1000.0, 0.0))
+
+    monkeypatch.setattr(cli, "_resolve_transition", lambda spec: (sinking, 1.0))
+    code, out, _ = run_cli(capsys, "sweep", "--transition", "sinking", "--nu-min", "1e-2",
+                           "--nu-max", "0.3", "--points", "5", "--methods", "quadrature")
+    assert code == 0
+    rows = [line.split(",") for line in out.rstrip("\n").split("\n")[1:]]
+    assert [r[5] for r in rows] == ["ok"] * 3 + ["error:NumericalError"] * 2
+    nus = SweepSpec(transition="sinking", nu_min=1e-2, nu_max=0.3, points=5).nu_values()
+    for r, nu in zip(rows[:3], nus):
+        want = modified_rate_quadrature(sinking, 1.0, MeasurementSchedule(nu=nu))
+        assert r[1] == f"{want.ratio:.9g}"
+    assert all(r[1:5] == ["", "", "", ""] for r in rows[3:])
 
 
 def test_sweep_spec_validation():
@@ -243,3 +282,10 @@ def test_ca_prefactor_flag(capsys):
     nu1 = json.loads(out1)["required_nu"]
     nu2 = json.loads(out2)["required_nu"]
     assert nu2 == pytest.approx(nu1 / 10.0, rel=1e-12)
+
+
+def test_build_parser_returns_a_fresh_parser():
+    parser = cli.build_parser()
+    parser.add_argument("--extra")
+    assert cli.build_parser() is not parser
+    assert main(["table1"]) == 0

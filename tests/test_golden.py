@@ -1,0 +1,108 @@
+"""Golden output: the CLI and the quadrature must reproduce recorded values exactly.
+
+The files under ``tests/data/golden/`` were written by the quadrature that
+preceded the cached-node, one-reservoir-call evaluation.  The CSV files
+keep 9 significant digits; ``quadrature.json`` keeps every bit of
+``ratio`` and ``err_estimate``.  Any change to either is a regression.
+
+To record ``quadrature.json`` from a source tree, put that tree's ``src``
+first on ``PYTHONPATH`` and run ``python tests/test_golden.py``.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from zenoscope.cli import main
+from zenoscope.decay import QuadratureConfig, modified_rate_quadrature
+from zenoscope.errors import ZenoscopeError
+from zenoscope.oracle import BandLimitedReservoir
+from zenoscope.profile import MeasurementSchedule
+from zenoscope.reservoir import FullReservoir, SimpleReservoir, builtin_transition
+
+DATA = Path(__file__).resolve().parent / "data"
+
+CLI_CASES = {
+    "figure2-points20.csv": ("figure2", "--points", "20"),
+    "sweep-4F-1S.csv": ("sweep", "--transition", "4F-1S", "--nu-min", "1e-7",
+                        "--nu-max", "1e-5"),
+    # multi-term reservoir, reaching past nu = omega0 (rwa_warning rows)
+    "sweep-5D-1S.csv": ("sweep", "--transition", str(DATA / "5D-1S.json"),
+                        "--nu-min", "1e-6", "--nu-max", "3", "--points", "24"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_reproduces_golden_csv(capsys, name):
+    assert main(list(CLI_CASES[name])) == 0
+    assert capsys.readouterr().out == (DATA / "golden" / name).read_text()
+
+
+# One point per decade.  Above nu = 1 / (2 pi near_lobes) ~ 2.5e-3 the near
+# region is clipped at omega = 0, so the grid covers both near-region paths.
+QUADRATURE_NUS = [float(nu) for nu in np.geomspace(1e-9, 10.0, 11)]
+
+
+def _plain(omega):
+    # no metadata: truncation at 50 omega0, no remainder bound
+    return omega ** 3 / (1.0 + (omega / 40.0) ** 2) ** 6
+
+
+def _sinking(omega):
+    # a deep negative band at 5-6 omega0: at most nu of the grid the
+    # quadrature's modified rate is negative (NumericalError), at some not
+    w = np.asarray(omega, dtype=float)
+    return np.where(w < 5.0, 1.0, np.where(w <= 6.0, -1000.0, 0.0))
+
+
+def _builtin(name, cfg=None):
+    return lambda: (*builtin_transition(name), cfg)
+
+
+# name: () -> (reservoir, omega0, config or None)
+QUADRATURE_CASES = {
+    **{name: _builtin(name) for name in ("2P-1S", "3D-1S", "4F-1S")},
+    "4F-1S-small-config": _builtin("4F-1S", QuadratureConfig(
+        near_lobes=4, nodes_per_lobe=7, rel_tol=1e-6)),
+    "full": lambda: (FullReservoir(terms=((2, 0, 1.0), (2, 1, 0.3), (2, 2, 0.1)), epsilon=0,
+                                   mu=6, omega_x=400.0, j_range=(2, 2)), 1.0, None),
+    # support ends at 5 omega0, well before the 50x cutoff truncation
+    "band-limited": lambda: (BandLimitedReservoir(builtin_transition("3D-1S")[0], (0.0, 5.0)),
+                             1.0, None),
+    "plain": lambda: (_plain, 1.0, None),
+    # one value for every frequency, returned as a scalar
+    "flat": lambda: (lambda omega: 1.0, 1.0, None),
+    # unconverged above nu ~ 0.04: the truncation bound exceeds rel_tol
+    "heavy-tail": lambda: (SimpleReservoir(d=1.0, eta=1, mu=2, omega_x=10.0), 1.0, None),
+    "sinking": lambda: (_sinking, 1.0, None),
+}
+
+
+def _record(name):
+    """One entry per nu: the result's fields, or the error type raised."""
+    reservoir, omega0, cfg = QUADRATURE_CASES[name]()
+    out = []
+    for nu in QUADRATURE_NUS:
+        try:
+            res = modified_rate_quadrature(reservoir, omega0, MeasurementSchedule(nu=nu), cfg)
+        except ZenoscopeError as exc:
+            out.append({"nu": nu, "error": type(exc).__name__})
+            continue
+        out.append({"nu": nu, "ratio": res.ratio, "err_estimate": res.err_estimate,
+                    "converged": res.converged, "rwa_warning": res.rwa_warning})
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(QUADRATURE_CASES))
+def test_quadrature_reproduces_golden_values_exactly(name):
+    # json round-trips floats exactly, so == compares every bit
+    want = json.loads((DATA / "golden" / "quadrature.json").read_text())[name]
+    assert _record(name) == want
+
+
+if __name__ == "__main__":
+    json.dump({name: _record(name) for name in QUADRATURE_CASES}, sys.stdout, indent=1)
+    sys.stdout.write("\n")
