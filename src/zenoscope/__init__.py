@@ -7,14 +7,11 @@ approximations, and discretized-mode Schrodinger dynamics.
 """
 
 from .decay import (
-    AnalyticRatio,
     DecayResult,
     QuadratureConfig,
     analytic_rate,
     fgr_rate,
     modified_rate_quadrature,
-    ratio_analytic_full,
-    ratio_analytic_simple,
 )
 from .errors import (
     DegenerateTransitionError,

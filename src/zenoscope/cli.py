@@ -79,16 +79,6 @@ def _resolve_transition(spec: str):
         "(or a path to a reservoir config JSON)")
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("ZENOSCOPE_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise DomainError(f"ZENOSCOPE_JOBS={env!r} is not an integer") from None
-    return 1
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """A sweep over the measurement rate for one transition.
@@ -253,8 +243,7 @@ def cmd_ca(args) -> int:
     return 0
 
 
-_JOBS_HELP = ("accepted for compatibility and validated (default: ZENOSCOPE_JOBS or 1); "
-              "sweeps run single-threaded whatever its value")
+_JOBS_HELP = "accepted for compatibility and ignored: sweeps run single-threaded"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spacing", choices=("log", "linear"), default="log")
     p.add_argument("--methods", choices=("both", "quadrature", "analytic"),
                    default="both")
-    p.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
+    p.add_argument("--jobs", type=int, help=_JOBS_HELP)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("figure2",
@@ -290,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu-min", type=float, default=1e-4)
     p.add_argument("--nu-max", type=float, default=1e-2)
     p.add_argument("--points", type=int, default=20)
-    p.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
+    p.add_argument("--jobs", type=int, help=_JOBS_HELP)
     p.set_defaults(func=cmd_figure2)
 
     p = sub.add_parser("table1", help="regenerate reservoir parameters (TSV)")
@@ -328,8 +317,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _main_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "jobs", None) is None and hasattr(args, "jobs"):
-            args.jobs = _default_jobs()
         return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,6 +27,10 @@ far-field panels and the partial lobe at omega = 0 are gathered with them
 into a single array.  The sums run on the same numpy calls over the same
 contiguous lengths as a per-region evaluation would, so the results do
 not depend on how the nodes are gathered.
+
+The closed form (``analytic_rate``) is one Beta-function tail summed over
+the reservoir's ``term_powers()`` and normalised by its ``leading_term()``;
+a single-term reservoir is the sum with one term.
 """
 
 from __future__ import annotations
@@ -40,17 +44,14 @@ import numpy as np
 
 from .errors import DegenerateTransitionError, DomainError, NumericalError
 from .profile import MeasurementSchedule
-from .reservoir import FullReservoir, SimpleReservoir, eta_for
+from .reservoir import FullReservoir, SimpleReservoir
 from .specfun import beta, sinc_sq
 
 __all__ = [
     "QuadratureConfig",
     "DecayResult",
-    "AnalyticRatio",
     "fgr_rate",
     "modified_rate_quadrature",
-    "ratio_analytic_simple",
-    "ratio_analytic_full",
     "analytic_rate",
 ]
 
@@ -208,11 +209,18 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
     """Rate ratio Gamma/Gamma0 by direct quadrature of the overlap integral.
 
     ``reservoir`` is any callable R(omega) acting elementwise on 1-D numpy
-    arrays and vanishing fast enough at infinity; the package reservoir
-    types additionally expose the metadata (cutoff, power-law exponents)
-    used for truncation and remainder bounds.  Results for nu >= omega0
-    carry ``rwa_warning=True``: the overlap formula itself is outside its
-    rotating-wave validity domain there.
+    arrays and vanishing fast enough at infinity.  It may expose metadata,
+    each item optional:
+
+    - ``omega_x``: the cutoff; the walk is truncated at
+      ``max_omega_factor * omega_x`` (else at that multiple of omega0);
+    - ``omega_support_end``: where R ends, truncating there with no remainder;
+    - ``mu`` and ``term_powers()``: the rolloff exponent and the
+      ``(amplitude, power)`` of every term, which must be integrable and
+      give the power-law bound on the integral beyond the truncation.
+
+    Results for nu >= omega0 carry ``rwa_warning=True``: the overlap
+    formula itself is outside its rotating-wave validity domain there.
     """
     if cfg is None:
         cfg = QuadratureConfig()
@@ -220,19 +228,19 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
         raise DomainError("omega0 must be positive")
     nu = m.nu
 
-    max_power = getattr(reservoir, "max_power", None)
-    res_mu = getattr(reservoir, "mu", None)
-    if max_power is not None and res_mu is not None:
-        if 2 * res_mu <= max_power + 1:
-            raise DomainError("reservoir is not integrable over [0, inf)")
+    omega_x = getattr(reservoir, "omega_x", None)
+    support_end = getattr(reservoir, "omega_support_end", None)
+    mu = getattr(reservoir, "mu", None)
+    term_powers = getattr(reservoir, "term_powers", None)
+    terms = term_powers() if term_powers is not None and mu is not None else ()
+    if terms and 2 * mu <= max(p for _, p in terms) + 1:
+        raise DomainError("reservoir is not integrable over [0, inf)")
 
     gamma0 = fgr_rate(reservoir, omega0)
     if not (gamma0 > 0 and math.isfinite(gamma0)):
         raise DomainError("free rate 2 pi R(omega0) must be positive to form a ratio")
 
-    omega_x = getattr(reservoir, "omega_x", None)
     omega_max = cfg.max_omega_factor * (omega_x if omega_x else omega0)
-    support_end = getattr(reservoir, "omega_support_end", None)
     truncated_by_support = support_end is not None and support_end < omega_max
     if truncated_by_support:
         omega_max = support_end
@@ -288,7 +296,8 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
 
     # --- far region above resonance: stop at the first panel that is small
     # and leaves a small remainder bound ----------------------------------------
-    beyond = _beyond_truncation_bound(reservoir, omega0, nu, omega_max, truncated_by_support)
+    beyond = 0.0 if truncated_by_support else _beyond_truncation_bound(
+        terms, mu, omega_x, omega0, nu, omega_max)
     gamma_above = 0.0
     converged = True
     if "above" in far:
@@ -323,143 +332,79 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
     )
 
 
-def _beyond_truncation_bound(reservoir, omega0: float, nu: float,
-                             omega_max: float, truncated_by_support: bool) -> float:
+def _beyond_truncation_bound(terms, mu, omega_x, omega0: float, nu: float,
+                             omega_max: float) -> float:
     """Envelope bound on the overlap integral beyond the truncation point.
 
     Uses F <= 2 nu / (pi delta^2) and the asymptotic power law of each
-    reservoir term.  Zero when the reservoir support ends at the truncation
-    or when no power-law metadata is available (custom callables).
+    integrable ``(amplitude, power)`` term.  Zero without power-law
+    metadata (custom callables).
     """
-    if truncated_by_support:
-        return 0.0
-    terms = getattr(reservoir, "tail_power_terms", None)
-    omega_x = getattr(reservoir, "omega_x", None)
-    if terms is None or omega_x is None or omega_max <= 2 * omega0:
+    if not terms or omega_x is None or omega_max <= 2 * omega0:
         return 0.0
     geom = (1.0 - omega0 / omega_max) ** 2
     bound = 0.0
-    for d, p, mu in terms():
+    for d, p in terms:
         decay = 2 * mu + 1 - p
-        if decay <= 0:
-            return math.inf
         bound += 4.0 * nu * d * omega_x ** (2 * mu - p + 1) \
             * omega_max ** (p - 2 * mu - 1) / (decay * geom)
     return bound
 
 
-@dataclass(frozen=True)
-class AnalyticRatio:
-    """Closed-form ratio with its resonant/tail decomposition.
+def _tail_excess(reservoir, x: float, y: float) -> float:
+    """Measurement-induced excess of Gamma/Gamma0, in units of the free rate.
 
-    resonant and tail are in units of the free rate; resonant + tail
-    equals ratio by construction.  per_j_gamma0 (multi-term reservoirs
-    only) maps J to the per-multipole free rate in units of omega0,
-    assuming unit transition frequency.
+    x = omega_x/omega0, y = nu/omega0.  Every term (D, p) with p > 3/2
+    adds (D/D_lead) B(mu - (p-1)/2, (p-1)/2) relative to the leading term
+    (D_lead, eta_lead); the sum is scaled by y x^(eta_lead - 1) / (2 pi).
+    A lone eta = 1 term has no excess.
     """
-
-    ratio: float
-    resonant: float
-    tail: float
-    per_j_gamma0: dict[int, float] | None = None
-
-
-def _check_hierarchy(x: float) -> None:
-    if x < 10.0:
-        warnings.warn(
-            f"cutoff/transition frequency ratio {x:g} < 10: the closed-form "
-            "ratio assumes a wide reservoir and may be inaccurate",
-            stacklevel=3,
-        )
-
-
-def _tail_beta(power: int, mu: int) -> float:
-    """Beta-function prefactor of one tail term with frequency power ``power``."""
-    a = 0.5 * (1 - power) + mu
-    b = -0.5 * (1 - power)
-    if a <= 0:
-        raise DomainError(
-            f"tail prefactor undefined: B({a:g}, {b:g}) requires 2*mu > power - 1 "
-            f"(power={power}, mu={mu})")
-    return beta(a, b)
-
-
-def ratio_analytic_simple(eta: int, mu: int, x: float, y: float) -> AnalyticRatio:
-    """Closed-form Gamma/Gamma0 for a single-term reservoir.
-
-    x = omega_x/omega0, y = nu/omega0.  Exactly 1 for eta = 1; for eta > 1
-    the tail term y x^(eta-1) B((1-eta)/2 + mu, (eta-1)/2) / (2 pi) is the
-    entire measurement-induced excess.
-    """
-    if eta < 1 or int(eta) != eta:
-        raise DomainError("eta must be an integer >= 1")
-    if mu < 1 or int(mu) != mu:
-        raise DomainError("mu must be an integer >= 1")
-    if x <= 0 or y <= 0:
-        raise DomainError("x and y must be positive")
-    _check_hierarchy(x)
-    if eta == 1:
-        return AnalyticRatio(ratio=1.0, resonant=1.0, tail=0.0)
-    tail = y * x ** (eta - 1) * _tail_beta(int(eta), int(mu)) / _TWO_PI
-    return AnalyticRatio(ratio=1.0 + tail, resonant=1.0, tail=tail)
-
-
-def ratio_analytic_full(r: FullReservoir, x: float, y: float) -> AnalyticRatio:
-    """Closed-form Gamma/Gamma0 for a multi-term reservoir.
-
-    Normalized by the leading (J_min, r=0) free rate; every term whose
-    frequency power exceeds 3/2 contributes a tail amplitude relative to
-    that leading coupling.  Raises DegenerateTransitionError when the
-    leading coupling vanishes, since the ratio normalization is undefined
-    in that case.
-    """
-    if x <= 0 or y <= 0:
-        raise DomainError("x and y must be positive")
-    _check_hierarchy(x)
-    d_lead = r.leading_amplitude
+    d_lead, eta_lead = reservoir.leading_term()
     if d_lead == 0.0:
         raise DegenerateTransitionError(
             "the (J_min, r=0) coupling amplitude vanishes, so the leading-order "
             "free rate cannot normalize the closed-form ratio; this degenerate "
             "case has no defined closed form here and is rejected rather than "
             "silently renormalized")
-    j_min = r.j_range[0]
-    eta_min = eta_for(j_min, r.epsilon)
     total = 0.0
-    per_j_gamma0: dict[int, float] = {}
-    for j, rr, d in r.terms:
-        power = eta_for(j, r.epsilon) + 2 * rr
-        if rr == 0:
-            per_j_gamma0[j] = per_j_gamma0.get(j, 0.0) + _TWO_PI * d * x ** (1 - power)
+    for d, power in reservoir.term_powers():
         if power <= 1.5:  # step-function gate: no tail below quadratic growth
             continue
-        total += (d / d_lead) * _tail_beta(power, r.mu)
-    tail = y * x ** (eta_min - 1) * total / _TWO_PI
-    return AnalyticRatio(ratio=1.0 + tail, resonant=1.0, tail=tail,
-                         per_j_gamma0=per_j_gamma0)
+        total += (d / d_lead) * beta(0.5 * (1 - power) + reservoir.mu, -0.5 * (1 - power))
+    return y * x ** (eta_lead - 1) * total / _TWO_PI
 
 
 def analytic_rate(reservoir, omega0: float, m: MeasurementSchedule) -> DecayResult:
-    """Closed-form DecayResult for a package reservoir in any unit system."""
-    if omega0 <= 0:
-        raise DomainError("omega0 must be positive")
-    x = reservoir.omega_x / omega0
-    y = m.nu / omega0
+    """Closed-form DecayResult for a package reservoir in any unit system.
+
+    The resonant part is the free rate and the tail its Beta-function
+    excess, valid in the wide-reservoir hierarchy omega_x >> omega0 (a
+    warning is issued below a ratio of 10).  Raises
+    DegenerateTransitionError when the leading coupling vanishes.
+    """
     if isinstance(reservoir, SimpleReservoir):
-        ar = ratio_analytic_simple(reservoir.eta, reservoir.mu, x, y)
         method = METHOD_ANALYTIC_SIMPLE
     elif isinstance(reservoir, FullReservoir):
-        ar = ratio_analytic_full(reservoir, x, y)
         method = METHOD_ANALYTIC_FULL
     else:
         raise DomainError("analytic_rate requires a SimpleReservoir or FullReservoir")
+    if omega0 <= 0:
+        raise DomainError("omega0 must be positive")
+    x = reservoir.omega_x / omega0
+    if x < 10.0:
+        warnings.warn(
+            f"cutoff/transition frequency ratio {x:g} < 10: the closed-form "
+            "ratio assumes a wide reservoir and may be inaccurate",
+            stacklevel=2,
+        )
+    tail = _tail_excess(reservoir, x, m.nu / omega0)
     gamma0 = fgr_rate(reservoir, omega0)
     return DecayResult(
-        ratio=ar.ratio,
+        ratio=1.0 + tail,
         gamma0=gamma0,
         method=method,
         err_estimate=0.0,
         rwa_warning=m.nu >= omega0,
-        gamma_resonant=ar.resonant * gamma0,
-        gamma_tail=ar.tail * gamma0,
+        gamma_resonant=gamma0,
+        gamma_tail=tail * gamma0,
     )

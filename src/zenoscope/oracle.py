@@ -22,7 +22,7 @@ that are outside the formula being validated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -223,6 +223,24 @@ def _auto_coupling_scale(modes: DiscretizedModes, omega0: float, tau: float,
     return scale
 
 
+def _with_band(cfg: OracleConfig | None, omega0: float, nu: float) -> OracleConfig:
+    """``cfg`` (default ``OracleConfig()``) with its band set and checked.
+
+    See :func:`oracle_rate` for the default band and the coverage required.
+    """
+    if cfg is None:
+        cfg = OracleConfig()
+    required = (max(0.0, omega0 - BAND_COVERAGE * nu), omega0 + BAND_COVERAGE * nu)
+    if cfg.band is None:
+        return replace(cfg, band=required)
+    band = cfg.band
+    if band[0] > required[0] + 1e-12 * omega0 or band[1] < required[1] - 1e-12 * omega0:
+        raise DomainError(
+            f"band {band} does not cover {required} "
+            f"(+-{BAND_COVERAGE:g} measurement widths around omega0)")
+    return cfg
+
+
 def oracle_rate(reservoir, omega0: float, m: MeasurementSchedule,
                 cfg: OracleConfig | None = None) -> DecayResult:
     """Decay-rate ratio extracted from discretized-mode dynamics.
@@ -233,20 +251,11 @@ def oracle_rate(reservoir, omega0: float, m: MeasurementSchedule,
     with both rates referring to the (possibly rescaled) couplings
     actually integrated.
     """
-    if cfg is None:
-        cfg = OracleConfig()
     if omega0 <= 0:
         raise DomainError("omega0 must be positive")
     nu = m.nu
     tau = m.tau
-    required = (max(0.0, omega0 - BAND_COVERAGE * nu), omega0 + BAND_COVERAGE * nu)
-    band = cfg.band if cfg.band is not None else required
-    if band[0] > required[0] + 1e-12 * omega0 or band[1] < required[1] - 1e-12 * omega0:
-        raise DomainError(
-            f"band {band} does not cover {required} "
-            f"(+-{BAND_COVERAGE:g} measurement widths around omega0)")
-    cfg = OracleConfig(n_modes=cfg.n_modes, band=band, dt=cfg.dt,
-                       method=cfg.method, coupling_scale=cfg.coupling_scale)
+    cfg = _with_band(cfg, omega0, nu)
 
     modes = discretize_reservoir(reservoir, cfg)
     scale = cfg.coupling_scale
@@ -281,7 +290,8 @@ class BandLimitedReservoir:
     quadrature on identical footing: both then see exactly the same
     spectrum.  Carries the underlying cutoff for quadrature scaling and
     marks the band edge as the end of support so the quadrature truncates
-    there with no remainder.
+    there with no remainder.  It carries no power-law metadata: a
+    band-limited spectrum is integrable by construction.
     """
 
     def __init__(self, reservoir, band: tuple[float, float]):
@@ -292,8 +302,6 @@ class BandLimitedReservoir:
         self.band = (float(lo), float(hi))
         self.omega_x = getattr(reservoir, "omega_x", None)
         self.omega_support_end = float(hi)
-        self.mu = getattr(reservoir, "mu", None)
-        self.max_power = getattr(reservoir, "max_power", None)
 
     def __call__(self, omega):
         w = np.asarray(omega, dtype=float)
@@ -313,15 +321,9 @@ def oracle_vs_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
     integrate the same spectrum; the relative difference is
     |oracle - quadrature| / quadrature.
     """
-    if cfg is None:
-        cfg = OracleConfig()
-    nu = m.nu
-    band = cfg.band if cfg.band is not None else (
-        max(0.0, omega0 - BAND_COVERAGE * nu), omega0 + BAND_COVERAGE * nu)
-    cfg = OracleConfig(n_modes=cfg.n_modes, band=band, dt=cfg.dt,
-                       method=cfg.method, coupling_scale=cfg.coupling_scale)
+    cfg = _with_band(cfg, omega0, m.nu)
     oracle = oracle_rate(reservoir, omega0, m, cfg)
-    quad = modified_rate_quadrature(BandLimitedReservoir(reservoir, band),
+    quad = modified_rate_quadrature(BandLimitedReservoir(reservoir, cfg.band),
                                     omega0, m, quad_cfg)
     rel = abs(oracle.ratio - quad.ratio) / quad.ratio
     return oracle, quad, rel

@@ -6,7 +6,10 @@ closed-form coupling spectrum: a power law ``omega**eta`` rolled off by
 ``omega_x``.  A transition with maximal excited-state angular momentum
 decaying to 1S produces a single such term (``SimpleReservoir``); the
 general case is a sum over photon angular momenta J and radial orders r
-(``FullReservoir``) whose coefficient table is a user input.
+(``FullReservoir``) whose coefficient table is a user input.  Both expose
+the same metadata: ``mu``, ``omega_x``, ``term_powers()`` (the
+``(amplitude, power)`` of every term) and ``leading_term()`` (the term
+that normalises the closed-form ratio).
 
 Dimensionless convention: coupling amplitudes default to ``d = 1`` and the
 transition frequency to ``omega0 = 1`` (the modified/free rate ratio does
@@ -203,8 +206,8 @@ class SimpleReservoir:
     omega_x: float
 
     def __post_init__(self):
-        if self.eta < 1:
-            raise DomainError("eta must be >= 1")
+        if self.eta < 1 or self.eta != int(self.eta):
+            raise DomainError("eta must be an integer >= 1")
         if 2 * self.mu <= self.eta + 1:
             raise DomainError("integrability requires 2*mu > eta + 1")
         if self.omega_x <= 0:
@@ -218,13 +221,13 @@ class SimpleReservoir:
 
     __call__ = eval
 
-    @property
-    def max_power(self) -> int:
-        return self.eta
+    def term_powers(self) -> tuple[tuple[float, int], ...]:
+        """(amplitude, power) of the one term."""
+        return ((self.d, self.eta),)
 
-    def tail_power_terms(self) -> list[tuple[float, int, int]]:
-        """(amplitude, power, mu) triples for asymptotic remainder bounds."""
-        return [(self.d, self.eta, self.mu)]
+    def leading_term(self) -> tuple[float, int]:
+        """(amplitude, power) of the term that normalises the closed form."""
+        return self.d, self.eta
 
 
 @dataclass(frozen=True)
@@ -270,7 +273,7 @@ class FullReservoir:
                 raise DomainError("radial order r must be >= 0")
             if 2 * self.mu <= eta_for(j, self.epsilon) + 2 * r + 1:
                 raise DomainError(f"term (J={j}, r={r}) is not integrable for mu={self.mu}")
-        if not self.degenerate_ok and self.leading_amplitude == 0.0:
+        if not self.degenerate_ok and self.leading_term()[0] == 0.0:
             raise DomainError("no nonzero (J_min, r=0) term; pass degenerate_ok=True "
                               "to build a reservoir with a vanishing leading coupling")
 
@@ -301,15 +304,15 @@ class FullReservoir:
                    omega_x=omega_x, j_range=(t.j_min, t.j_max),
                    degenerate_ok=degenerate_ok)
 
-    @property
-    def leading_amplitude(self) -> float:
-        """D of the (J_min, r=0) term, 0.0 if absent."""
+    def leading_term(self) -> tuple[float, int]:
+        """(D, eta_Jmin) of the (J_min, r=0) term, with D = 0.0 if absent."""
         j_min = self.j_range[0]
-        return sum(d for j, r, d in self.terms if j == j_min and r == 0)
+        return (sum(d for j, r, d in self.terms if j == j_min and r == 0),
+                eta_for(j_min, self.epsilon))
 
-    def term_powers(self) -> list[tuple[float, int]]:
+    def term_powers(self) -> tuple[tuple[float, int], ...]:
         """(amplitude, eta_J + 2r) for every term."""
-        return [(d, eta_for(j, self.epsilon) + 2 * r) for j, r, d in self.terms]
+        return tuple((d, eta_for(j, self.epsilon) + 2 * r) for j, r, d in self.terms)
 
     def eval(self, omega):
         """Coupling spectrum at omega (scalar or array), omega >= 0."""
@@ -321,13 +324,6 @@ class FullReservoir:
         return total
 
     __call__ = eval
-
-    @property
-    def max_power(self) -> int:
-        return max(p for _, p in self.term_powers())
-
-    def tail_power_terms(self) -> list[tuple[float, int, int]]:
-        return [(d, p, self.mu) for d, p in self.term_powers()]
 
 
 # eta, mu and the cutoff-to-transition frequency ratio for the three

@@ -1,10 +1,9 @@
 """Scalar special functions used by the reservoir and rate formulas.
 
-Everything here is pure and stateless: log-gamma (Lanczos), the Euler Beta
-function evaluated in log space, exact binomial coefficients, a
-series-protected sinc^2, and Clebsch-Gordan coefficients via Racah's
-closed-form sum.  ``sinc_sq`` also accepts numpy arrays since the
-quadrature engine evaluates it on large node batches.
+Everything here is pure and stateless: the Euler Beta function evaluated
+in log space, a series-protected sinc^2, and Clebsch-Gordan coefficients
+via Racah's closed-form sum.  ``sinc_sq`` also accepts numpy arrays since
+the quadrature engine evaluates it on large node batches.
 """
 
 from __future__ import annotations
@@ -15,61 +14,18 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["ln_gamma", "beta", "binomial", "sinc_sq", "clebsch_gordan"]
-
-
-# Lanczos coefficients, g = 7, 9 terms.  Relative error of exp(ln_gamma)
-# stays below ~1e-15 on the positive real axis.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0."""
-    if not (isinstance(x, (int, float)) and math.isfinite(x)) or x <= 0.0:
-        raise DomainError(f"ln_gamma requires a finite x > 0, got {x!r}")
-    if x < 0.5:
-        # One recurrence step keeps the Lanczos series in its sweet spot.
-        return ln_gamma(x + 1.0) - math.log(x)
-    z = x - 1.0
-    series = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        series += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(series)
+__all__ = ["beta", "sinc_sq", "clebsch_gordan"]
 
 
 def beta(a: float, b: float) -> float:
     """Euler Beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b), a, b > 0.
 
-    Computed as exp(lnG(a) + lnG(b) - lnG(a+b)) so large arguments
-    (high principal quantum numbers) do not overflow.
+    Computed as exp(lnG(a) + lnG(b) - lnG(a+b)) with ``math.lgamma`` so
+    large arguments (high principal quantum numbers) do not overflow.
     """
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError(f"beta requires a > 0 and b > 0, got a={a!r}, b={b!r}")
-    return math.exp(ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b))
-
-
-def binomial(n: int, k: int) -> float:
-    """Exact n-choose-k as a float; requires 0 <= k <= n."""
-    if n != int(n) or k != int(k):
-        raise DomainError(f"binomial requires integers, got n={n!r}, k={k!r}")
-    n, k = int(n), int(k)
-    if n < 0 or k < 0 or k > n:
-        raise DomainError(f"binomial requires 0 <= k <= n, got n={n}, k={k}")
-    return float(math.comb(n, k))
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise DomainError(f"beta requires finite a > 0 and b > 0, got a={a!r}, b={b!r}")
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
 _SINC_SWITCH = 1e-4

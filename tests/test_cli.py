@@ -141,17 +141,14 @@ def test_sweep_methods_subset(capsys):
         assert fields[3] == ""   # no rel_err without both methods
 
 
-def test_sweep_deterministic_and_job_invariant(capsys, monkeypatch):
+def test_sweep_deterministic_and_job_invariant(capsys):
     args = ("sweep", "--transition", "3D-1S", "--nu-min", "1e-4",
             "--nu-max", "1e-3", "--points", "4")
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
-    monkeypatch.setenv("ZENOSCOPE_JOBS", "3")
-    _, out3, _ = run_cli(capsys, *args)
+    _, out3, _ = run_cli(capsys, *args, "--jobs", "2")
     assert out3 == out1
-    _, out4, _ = run_cli(capsys, *args, "--jobs", "2")
-    assert out4 == out1
 
 
 def test_sweep_failed_points_keep_their_own_rows(capsys, monkeypatch):
@@ -193,14 +190,6 @@ def test_sweep_invalid_range(capsys):
                            "--points", "4")
     assert code == 2
     assert "min" in err
-
-
-def test_bad_jobs_env(capsys, monkeypatch):
-    monkeypatch.setenv("ZENOSCOPE_JOBS", "many")
-    code, _, err = run_cli(capsys, "sweep", "--transition", "3D-1S",
-                           "--nu-min", "1e-3", "--nu-max", "2e-3", "--points", "2")
-    assert code == 2
-    assert "ZENOSCOPE_JOBS" in err
 
 
 # ---------------------------------------------------------------------------

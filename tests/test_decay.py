@@ -11,8 +11,6 @@ from zenoscope.decay import (
     analytic_rate,
     fgr_rate,
     modified_rate_quadrature,
-    ratio_analytic_full,
-    ratio_analytic_simple,
 )
 from zenoscope.errors import DegenerateTransitionError, DomainError, NumericalError
 from zenoscope.profile import MeasurementSchedule
@@ -85,40 +83,47 @@ def test_fgr_rate_zero_and_linear():
 # closed-form ratio, single term
 # ---------------------------------------------------------------------------
 
+def _analytic(reservoir, nu):
+    return analytic_rate(reservoir, 1.0, MeasurementSchedule(nu=nu))
+
+
 def test_analytic_simple_dipole_is_unity():
     for mu, x, y in ((4, 548.1, 1e-3), (6, 100.0, 1e-2), (8, 365.4, 1e-4)):
-        ar = ratio_analytic_simple(1, mu, x, y)
-        assert ar.ratio == 1.0
-        assert ar.tail == 0.0
+        res = _analytic(SimpleReservoir(d=1.0, eta=1, mu=mu, omega_x=x), y)
+        assert res.ratio == 1.0
+        assert res.gamma_tail == 0.0
 
 
 def test_analytic_simple_frozen_values():
     # arithmetic from exact Beta values: B(5,1) = 1/5, B(6,2) = 1/42
     expect3 = 1.0 + 1e-3 * 411.1 ** 2 * (1.0 / 5.0) / TWO_PI
-    ar = ratio_analytic_simple(3, 6, 411.1, 1e-3)
-    assert ar.ratio == pytest.approx(expect3, rel=1e-12)
-    assert ar.ratio == pytest.approx(6.3795392539795, rel=1e-12)
+    res = _analytic(SimpleReservoir(d=1.0, eta=3, mu=6, omega_x=411.1), 1e-3)
+    assert res.ratio == pytest.approx(expect3, rel=1e-12)
+    assert res.ratio == pytest.approx(6.3795392539795, rel=1e-12)
 
     expect5 = 1.0 + 1e-3 * 365.4 ** 4 * (1.0 / 42.0) / TWO_PI
-    ar = ratio_analytic_simple(5, 8, 365.4, 1e-3)
-    assert ar.ratio == pytest.approx(expect5, rel=1e-12)
-    assert ar.ratio == pytest.approx(67554.05797073928, rel=1e-12)
+    res = _analytic(SimpleReservoir(d=1.0, eta=5, mu=8, omega_x=365.4), 1e-3)
+    assert res.ratio == pytest.approx(expect5, rel=1e-12)
+    assert res.ratio == pytest.approx(67554.05797073928, rel=1e-12)
 
 
 def test_analytic_simple_decomposition():
-    ar = ratio_analytic_simple(3, 6, 411.1, 1e-3)
-    assert ar.resonant + ar.tail == pytest.approx(ar.ratio, rel=1e-12)
+    # the resonant part is the free rate; the tail carries the whole excess
+    res = _analytic(SimpleReservoir(d=1.0, eta=3, mu=6, omega_x=411.1), 1e-3)
+    assert res.gamma_resonant == res.gamma0
+    assert res.gamma_tail == pytest.approx((res.ratio - 1.0) * res.gamma0, rel=1e-12)
 
 
 def test_analytic_simple_beta_domain_error():
-    # 2 mu <= eta - 1 makes the Beta argument non-positive
+    # 2 mu <= eta - 1 would make the Beta argument non-positive; such a
+    # reservoir is rejected before the closed form is reached
     with pytest.raises(DomainError):
-        ratio_analytic_simple(9, 4, 400.0, 1e-3)
+        _analytic(SimpleReservoir(d=1.0, eta=9, mu=4, omega_x=400.0), 1e-3)
 
 
 def test_analytic_hierarchy_warning():
     with pytest.warns(UserWarning):
-        ratio_analytic_simple(3, 6, 5.0, 1e-3)
+        _analytic(SimpleReservoir(d=1.0, eta=3, mu=6, omega_x=5.0), 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -128,16 +133,17 @@ def test_analytic_hierarchy_warning():
 def test_analytic_full_reduces_to_simple():
     r = FullReservoir(terms=((2, 0, 1.0),), epsilon=0, mu=6, omega_x=411.1,
                       j_range=(2, 2))
-    full = ratio_analytic_full(r, 411.1, 1e-3)
-    simple = ratio_analytic_simple(3, 6, 411.1, 1e-3)
-    assert full.ratio == pytest.approx(simple.ratio, rel=1e-14)
+    full = _analytic(r, 1e-3)
+    simple = _analytic(SimpleReservoir(d=1.0, eta=3, mu=6, omega_x=411.1), 1e-3)
+    assert (full.ratio, full.gamma_tail) == (simple.ratio, simple.gamma_tail)
+    assert (full.method, simple.method) == ("analytic_full", "analytic_simple")
 
 
 def test_analytic_full_dipole_gate():
     # a lone eta=1 term has no tail: the step gate excludes it
     r = FullReservoir(terms=((1, 0, 1.0),), epsilon=0, mu=4, omega_x=548.1,
                       j_range=(1, 1))
-    assert ratio_analytic_full(r, 548.1, 1e-3).ratio == 1.0
+    assert _analytic(r, 1e-3).ratio == 1.0
 
 
 def test_analytic_full_two_terms_vs_quadrature():
@@ -146,27 +152,19 @@ def test_analytic_full_two_terms_vs_quadrature():
     r = FullReservoir(terms=((2, 0, 1.0), (3, 0, 0.1)), epsilon=0, mu=6,
                       omega_x=400.0, j_range=(2, 3))
     x, y = 400.0, 1e-3
-    ar = ratio_analytic_full(r, x, y)
+    res = _analytic(r, y)
     expect = 1.0 + (y / TWO_PI) * x ** 2 * (1.0 / 5.0 + 0.1 * (1.0 / 20.0))
-    assert ar.ratio == pytest.approx(expect, rel=1e-12)
+    assert res.ratio == pytest.approx(expect, rel=1e-12)
     # quadrature of the overlap integral arbitrates the closed form
     quad = modified_rate_quadrature(r, 1.0, MeasurementSchedule(nu=y))
-    assert abs(ar.ratio - quad.ratio) / quad.ratio < 0.05
-
-
-def test_analytic_full_per_j_rates():
-    r = FullReservoir(terms=((2, 0, 2.0), (3, 0, 0.1)), epsilon=0, mu=6,
-                      omega_x=400.0, j_range=(2, 3))
-    ar = ratio_analytic_full(r, 400.0, 1e-3)
-    assert ar.per_j_gamma0[2] == pytest.approx(TWO_PI * 2.0 / 400.0 ** 2, rel=1e-12)
-    assert ar.per_j_gamma0[3] == pytest.approx(TWO_PI * 0.1 / 400.0 ** 4, rel=1e-12)
+    assert abs(res.ratio - quad.ratio) / quad.ratio < 0.05
 
 
 def test_analytic_full_degenerate_error():
     r = FullReservoir(terms=((3, 0, 1.0),), epsilon=0, mu=6, omega_x=400.0,
                       j_range=(2, 3), degenerate_ok=True)
     with pytest.raises(DegenerateTransitionError):
-        ratio_analytic_full(r, 400.0, 1e-3)
+        _analytic(r, 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +271,39 @@ def test_quadrature_large_nu_runs():
 
 def test_quadrature_non_integrable_metadata():
     class Bad:
-        max_power = 5
         mu = 3
+
+        def term_powers(self):
+            return ((1.0, 5),)
 
         def __call__(self, w):
             return np.asarray(w, dtype=float)
 
     with pytest.raises(DomainError):
         modified_rate_quadrature(Bad(), 1.0, MeasurementSchedule(nu=1e-3))
+
+
+@pytest.mark.parametrize("ref, cfg", [
+    (SimpleReservoir(d=1.0, eta=3, mu=6, omega_x=411.1), None),
+    # unconverged: the beyond-truncation bound dominates the error estimate
+    (SimpleReservoir(d=1.0, eta=5, mu=4, omega_x=50.0), QuadratureConfig(max_omega_factor=10.0)),
+], ids=["3D-1S", "heavy-tail"])
+def test_quadrature_reads_only_the_metadata_contract(ref, cfg):
+    class Contract:
+        mu = ref.mu
+        omega_x = ref.omega_x
+
+        def term_powers(self):
+            return ((ref.d, ref.eta),)
+
+        def __call__(self, omega):
+            return ref(omega)
+
+    for nu in np.geomspace(1e-7, 1.0, 7):
+        m = MeasurementSchedule(nu=float(nu))
+        want = modified_rate_quadrature(ref, 1.0, m, cfg)
+        got = modified_rate_quadrature(Contract(), 1.0, m, cfg)
+        assert (got.ratio, got.err_estimate) == (want.ratio, want.err_estimate)
 
 
 def test_quadrature_vanishing_free_rate():

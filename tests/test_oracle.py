@@ -168,9 +168,10 @@ def test_oracle_rate_flat_reservoir_markovian():
 
 
 def test_oracle_rate_band_coverage_guard():
-    with pytest.raises(DomainError):
-        oracle_rate(_flat(1e-4), 1.0, MeasurementSchedule(nu=1e-2),
-                    OracleConfig(n_modes=500, band=(0.9, 1.1)))
+    for run in (oracle_rate, oracle_vs_quadrature):
+        with pytest.raises(DomainError):
+            run(_flat(1e-4), 1.0, MeasurementSchedule(nu=1e-2),
+                OracleConfig(n_modes=500, band=(0.9, 1.1)))
 
 
 def test_oracle_rate_probability_guard():

@@ -153,6 +153,8 @@ def test_simple_reservoir_validation():
     with pytest.raises(DomainError):
         SimpleReservoir(d=1.0, eta=0, mu=4, omega_x=10.0)
     with pytest.raises(DomainError):
+        SimpleReservoir(d=1.0, eta=2.5, mu=4, omega_x=10.0)  # eta is 2J - 1 + 2 epsilon
+    with pytest.raises(DomainError):
         SimpleReservoir(d=1.0, eta=3, mu=2, omega_x=10.0)  # 2mu <= eta+1
     with pytest.raises(DomainError):
         SimpleReservoir(d=0.0, eta=1, mu=4, omega_x=10.0)
@@ -255,7 +257,7 @@ def test_full_construction_errors():
     # allowed when explicitly flagged degenerate
     r = FullReservoir(terms=((3, 0, 1.0),), epsilon=0, mu=6, omega_x=1.0,
                       j_range=(2, 3), degenerate_ok=True)
-    assert r.leading_amplitude == 0.0
+    assert r.leading_term() == (0.0, 3)
 
 
 def test_full_from_transition_respects_selection_rules():

@@ -1,38 +1,13 @@
 """Special-function tests against stdlib and independent recursion oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from zenoscope.errors import DomainError
-from zenoscope.specfun import beta, binomial, clebsch_gordan, ln_gamma, sinc_sq
-
-
-# ---------------------------------------------------------------------------
-# ln_gamma
-# ---------------------------------------------------------------------------
-
-def test_ln_gamma_unit_values():
-    assert ln_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-    assert ln_gamma(2.0) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_ln_gamma_factorial_identity():
-    # Gamma(10) = 9!, computed by exact integer arithmetic
-    assert ln_gamma(10.0) == pytest.approx(math.log(math.factorial(9)), rel=1e-14)
-
-
-def test_ln_gamma_against_stdlib_grid():
-    # math.lgamma is an independent implementation accurate to ~1 ulp
-    for x in np.concatenate([np.linspace(0.5, 5, 91), np.linspace(5, 200, 391)]):
-        assert ln_gamma(float(x)) == pytest.approx(math.lgamma(float(x)), rel=1e-13)
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.inf, math.nan])
-def test_ln_gamma_domain(bad):
-    with pytest.raises(DomainError):
-        ln_gamma(bad)
+from zenoscope.specfun import beta, clebsch_gordan, sinc_sq
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +21,18 @@ def test_beta_examples():
     assert beta(6.0, 2.0) == pytest.approx(exact, rel=1e-12)
     # B(1/2, 1/2) = Gamma(1/2)^2 = pi
     assert beta(0.5, 0.5) == pytest.approx(math.pi, rel=1e-12)
+
+
+def test_beta_matches_exact_factorials():
+    # every tail term with odd power p >= 3 and mu <= 10 evaluates
+    # B(mu - (p-1)/2, (p-1)/2): integer a, b >= 1 with a + b <= 10, where
+    # B(a, b) = (a-1)! (b-1)! / (a+b-1)! exactly
+    for b in range(1, 10):
+        for a in range(1, 11 - b):
+            exact = Fraction(math.factorial(a - 1) * math.factorial(b - 1),
+                             math.factorial(a + b - 1))
+            rel = abs(Fraction(beta(float(a), float(b))) - exact) / exact
+            assert rel <= 5e-15, (a, b, float(rel))
 
 
 def test_beta_symmetry_grid():
@@ -66,33 +53,11 @@ def test_beta_recurrence_grid():
                 beta(a_, b_) * a_ / (a_ + b_), rel=1e-12)
 
 
-@pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 0.0), (-2.0, 3.0)])
+@pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 0.0), (-2.0, 3.0), (math.inf, 1.0),
+                                 (1.0, math.nan)])
 def test_beta_domain(a, b):
     with pytest.raises(DomainError):
         beta(a, b)
-
-
-# ---------------------------------------------------------------------------
-# binomial
-# ---------------------------------------------------------------------------
-
-def test_binomial_values():
-    assert binomial(5, 0) == 1.0
-    assert binomial(5, 2) == 10.0
-    assert binomial(3, 3) == 1.0
-
-
-def test_binomial_symmetry_exact():
-    for n in range(0, 30):
-        for k in range(n + 1):
-            assert binomial(n, k) == binomial(n, n - k)
-
-
-def test_binomial_domain():
-    with pytest.raises(DomainError):
-        binomial(3, 4)
-    with pytest.raises(DomainError):
-        binomial(-1, 0)
 
 
 # ---------------------------------------------------------------------------
