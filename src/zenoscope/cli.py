@@ -131,7 +131,9 @@ def _sweep_row(reservoir, omega0: float, nu: float, want_quad: bool,
                 row["rwa"] = a.rwa_warning
         if row["quad"] is not None and row["analytic"] is not None:
             row["rel_err"] = abs(row["quad"] - row["analytic"]) / row["quad"]
-    except ZenoscopeError as exc:
+    except (ZenoscopeError, ArithmeticError, ValueError) as exc:
+        # a failing point, including one a custom reservoir raises on,
+        # costs its own row only
         row["quad"] = row["analytic"] = row["rel_err"] = None
         row["status"] = f"error:{type(exc).__name__}"
     return row

@@ -9,8 +9,9 @@ coherence erasures between intervals, so P_n = P(tau)^n and a single
 interval determines the rate: Gamma = -ln P(tau) / tau.
 
 Two integration routes guard against integrator bias: fixed-step RK4
-(default) and exact diagonalization of the arrowhead Hamiltonian (dense,
-practical for n_modes up to a few thousand on a laptop).
+(default) and exact diagonalization of the arrowhead Hamiltonian, which
+solves its secular equation root by root in O(n_modes^2) time and
+O(n_modes) memory, with no dense matrix.
 
 Because the modified/free rate ratio is coupling-independent in the
 perturbative regime that the rate formula describes, the rate extraction
@@ -47,6 +48,12 @@ _TWO_PI = 2.0 * math.pi
 # Coverage demanded of the band around the transition frequency, in units
 # of the measurement rate.
 BAND_COVERAGE = 1e3
+
+_EPS = float(np.finfo(float).eps)
+# Bytes of the secular solver's one (roots x poles) work array: the block
+# of roots iterated together is sized from it, so memory stays O(n_modes).
+_BLOCK_BYTES = 1 << 20
+_SECULAR_MAX_ITER = 64
 
 METHOD_RK4 = "rk4"
 METHOD_ED = "exact_diagonalization"
@@ -160,17 +167,119 @@ def _survival_rk4(modes: DiscretizedModes, omega0: float, tau: float,
     return SurvivalResult(probability=float(abs(y[0]) ** 2), norm_drift=drift)
 
 
+def _secular_sums(anchor: np.ndarray, mu: np.ndarray, poles: np.ndarray,
+                  z2: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """psi = sum z2_k t_k and phi = sum z2_k t_k^2 over k != anchor.
+
+    t_k = 1 / ((poles[anchor] - poles[k]) + mu): the pole differences are
+    taken before the offset is added, so a root within rounding of its
+    anchor pole keeps an accurate distance to every other pole.
+    """
+    t = work[:len(mu)]
+    np.subtract.outer(poles[anchor], poles, out=t)
+    t += mu[:, None]
+    np.reciprocal(t, out=t)
+    t[np.arange(len(mu)), anchor] = 0.0
+    psi = t @ z2
+    np.square(t, out=t)
+    return psi, t @ z2
+
+
+def _secular_roots(poles: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of F(lam) = lam - sum z2_k / (lam - poles_k) and weights 1 / F'(lam).
+
+    The poles are ascending and distinct, every z2_k > 0.  Root j lies
+    alone in (poles[j-1], poles[j]); the outer two lie within the coupling
+    norm of the outer poles or of 0.  Each root is held as an anchor pole
+    plus an offset mu and found by Newton's method on G(mu) = mu F(lam),
+    which is convex on the root's interval, negative next to the anchor and
+    positive on the far side.  Started on the far side, the iterates fall
+    monotonically onto the root, so a step that would leave the bracket
+    (anchor, mu) can only come from rounding and halves mu instead.
+    """
+    m = len(poles)
+    norm = math.sqrt(float(z2.sum()))
+    lo = np.concatenate(([min(0.0, poles[0]) - norm], poles))
+    hi = np.concatenate((poles, [max(0.0, poles[-1]) + norm]))
+    start = 0.5 * (lo + hi)
+    start[0], start[-1] = lo[0], hi[-1]
+    vals = np.empty(m + 1)
+    weights = np.empty(m + 1)
+    rows = max(1, _BLOCK_BYTES // (8 * m))
+    work = np.empty((min(rows, m + 1), m))
+    for first in range(0, m + 1, rows):
+        j = np.arange(first, min(first + rows, m + 1))
+        # F at the start points, through the left pole (the right one for j = 0)
+        a = np.maximum(j - 1, 0)
+        mu = start[j] - poles[a]
+        psi, phi = _secular_sums(a, mu, poles, z2, work)
+        f = start[j] - psi - z2[a] / mu
+        df = 1.0 + phi + z2[a] / mu ** 2
+        # anchor at the pole on the root's side of the start point
+        left = f > 0
+        left[j == 0], left[j == m] = False, True
+        a = np.where(left, j - 1, j)
+        mu = start[j] - poles[a]
+        g = mu * f
+        dg = f + mu * df
+        for _ in range(_SECULAR_MAX_ITER):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = g / dg
+            # G <= 0 on the far side can only be rounding: the root is reached
+            done = (g <= 0) | (np.abs(step) <= 4.0 * _EPS * np.abs(mu))
+            vals[j[done]] = poles[a[done]] + np.where(g > 0, mu - step, mu)[done]
+            weights[j[done]] = 1.0 / df[done]
+            if done.all():
+                break
+            busy = ~done
+            j, a, mu, step = j[busy], a[busy], mu[busy], step[busy]
+            # the step must land strictly between the anchor and mu
+            shrink = (mu - step) / mu
+            mu = np.where((shrink > 0) & (shrink < 1), mu - step, 0.5 * mu)
+            psi, phi = _secular_sums(a, mu, poles, z2, work)
+            lam = poles[a] + mu
+            g = mu * (lam - psi) - z2[a]
+            dg = lam + mu - psi + mu * phi
+            df = 1.0 + phi + z2[a] / mu ** 2
+        else:
+            raise NumericalError(
+                f"secular equation: {len(j)} roots unconverged after "
+                f"{_SECULAR_MAX_ITER} Newton steps")
+    return vals, weights
+
+
 def _arrowhead_eigensystem(modes: DiscretizedModes, omega0: float):
+    """Eigenvalues of the arrowhead Hamiltonian and their weights on the atom.
+
+    H = [[0, g^T], [g, diag(omega - omega0)]].  Returns its n + 1
+    eigenvalues in ascending order and the squared first components of
+    their eigenvectors, 1 / (1 + sum g_k^2 / (lam - delta_k)^2).  Couplings
+    at or below eps * scale, and all but the first pole of a tie (which
+    takes the tie's whole coupling weight), leave their pole as an
+    eigenvalue of weight 0.  O(n^2) time and O(n) memory.
+    """
     n = len(modes.omega)
     if n > 20_000:
-        raise DomainError("exact diagonalization is limited to n_modes <= 20000")
-    h = np.zeros((n + 1, n + 1))
-    h[0, 1:] = modes.g
-    h[1:, 0] = modes.g
-    idx = np.arange(1, n + 1)
-    h[idx, idx] = modes.omega - omega0
-    vals, vecs = np.linalg.eigh(h)
-    return vals, vecs[0, :] ** 2
+        raise DomainError("exact diagonalization is limited to n_modes <= 20000 "
+                          "(its time grows as n_modes**2)")
+    order = np.argsort(modes.omega, kind="stable")
+    delta = modes.omega[order] - omega0
+    g = np.abs(modes.g[order])
+    scale = max(float(np.max(np.abs(delta))), float(np.linalg.norm(g)))
+    tol = _EPS * scale
+    coupled = g > tol
+    d, z2 = delta[coupled], g[coupled] ** 2
+    tie_start = np.ones(len(d), dtype=bool)
+    tie_start[1:] = np.diff(d) > tol
+    dropped = np.concatenate((delta[~coupled], d[~tie_start]))
+    if len(d):
+        roots, weights = _secular_roots(d[tie_start],
+                                        np.add.reduceat(z2, np.flatnonzero(tie_start)))
+    else:
+        roots, weights = np.zeros(1), np.ones(1)
+    vals = np.concatenate((roots, dropped))
+    order = np.argsort(vals, kind="stable")
+    return vals[order], np.concatenate((weights, np.zeros(len(dropped))))[order]
 
 
 def _survival_ed(modes: DiscretizedModes, omega0: float, tau: float) -> SurvivalResult:

@@ -170,6 +170,31 @@ def test_sweep_failed_points_keep_their_own_rows(capsys, monkeypatch):
     assert all(r[1:5] == ["", "", "", ""] for r in rows[3:])
 
 
+@pytest.mark.parametrize("error", [ValueError, FloatingPointError])
+def test_sweep_reservoir_errors_keep_their_own_rows(capsys, monkeypatch, error):
+    base = SimpleReservoir(d=1.0, eta=3, mu=6, omega_x=50.0)
+
+    def touchy(omega):
+        # the nearest quadrature node sits 0.0377 nu from resonance, so only
+        # the middle point, nu = 1e-4, meets a node in (1e-6, 1e-5)
+        w = np.asarray(omega, dtype=float)
+        if w.ndim and 1e-6 < np.min(np.abs(w - 1.0)) < 1e-5:
+            raise error("reservoir undefined here")
+        return base(omega)
+
+    monkeypatch.setattr(cli, "_resolve_transition", lambda spec: (touchy, 1.0))
+    code, out, _ = run_cli(capsys, "sweep", "--transition", "touchy", "--nu-min", "1e-6",
+                           "--nu-max", "1e-2", "--points", "5", "--methods", "quadrature")
+    assert code == 0
+    rows = [line.split(",") for line in out.rstrip("\n").split("\n")[1:]]
+    assert [r[5] for r in rows] == ["ok", "ok", f"error:{error.__name__}", "ok", "ok"]
+    assert rows[2][1:5] == ["", "", "", ""]
+    nus = SweepSpec(transition="touchy", nu_min=1e-6, nu_max=1e-2, points=5).nu_values()
+    for i in (0, 1, 3, 4):
+        want = modified_rate_quadrature(touchy, 1.0, MeasurementSchedule(nu=nus[i]))
+        assert rows[i][1] == f"{want.ratio:.9g}"
+
+
 def test_sweep_spec_validation():
     spec = SweepSpec(transition="3D-1S", nu_min=1e-4, nu_max=1e-2, points=5)
     values = spec.nu_values()

@@ -1,12 +1,18 @@
-"""Golden output: the CLI and the quadrature must reproduce recorded values exactly.
+"""Golden output: the CLI, the quadrature and the oracle must reproduce recorded values.
 
 The files under ``tests/data/golden/`` were written by the quadrature that
 preceded the cached-node, one-reservoir-call evaluation.  The CSV files
 keep 9 significant digits; ``quadrature.json`` keeps every bit of
 ``ratio`` and ``err_estimate``.  Any change to either is a regression.
 
-To record ``quadrature.json`` from a source tree, put that tree's ``src``
-first on ``PYTHONPATH`` and run ``python tests/test_golden.py``.
+``oracle_ed.json`` was written by the dense-``eigh`` exact diagonalization
+that preceded the secular-equation solver, at the desk-scale points of the
+oracle benchmark.  Its quadrature fields must match bit for bit; the oracle
+ratio, whose eigenvalues now come from a different algorithm, to 1e-10.
+
+To record a golden JSON file from a source tree, put that tree's ``src``
+first on ``PYTHONPATH`` and run ``python tests/test_golden.py quadrature``
+(or ``oracle_ed``).
 """
 
 import json
@@ -19,7 +25,7 @@ import pytest
 from zenoscope.cli import main
 from zenoscope.decay import QuadratureConfig, modified_rate_quadrature
 from zenoscope.errors import ZenoscopeError
-from zenoscope.oracle import BandLimitedReservoir
+from zenoscope.oracle import BandLimitedReservoir, OracleConfig, oracle_vs_quadrature
 from zenoscope.profile import MeasurementSchedule
 from zenoscope.reservoir import FullReservoir, SimpleReservoir, builtin_transition
 
@@ -103,6 +109,37 @@ def test_quadrature_reproduces_golden_values_exactly(name):
     assert _record(name) == want
 
 
+# The oracle benchmark's points: desk-scale reservoir, ED at 2000 modes.
+ORACLE_POINTS = [(eta, nu) for eta in (1, 3) for nu in (1e-2, 3e-2)]
+
+
+def _record_oracle(eta, nu):
+    reservoir = SimpleReservoir(d=1.0, eta=eta, mu=6, omega_x=50.0)
+    oracle, quad, rel = oracle_vs_quadrature(
+        reservoir, 1.0, MeasurementSchedule(nu=nu),
+        OracleConfig(n_modes=2000, method="exact_diagonalization"))
+    return {"eta": eta, "nu": nu, "ratio_oracle": oracle.ratio,
+            "ratio_quadrature": quad.ratio, "rel_difference": rel}
+
+
+@pytest.mark.parametrize("index", range(len(ORACLE_POINTS)))
+def test_oracle_ed_reproduces_golden_values(index):
+    want = json.loads((DATA / "golden" / "oracle_ed.json").read_text())[index]
+    got = _record_oracle(*ORACLE_POINTS[index])
+    assert (got["eta"], got["nu"]) == (want["eta"], want["nu"])
+    assert got["ratio_quadrature"] == want["ratio_quadrature"]
+    assert got["ratio_oracle"] == pytest.approx(want["ratio_oracle"], rel=1e-10, abs=0)
+    # rel_difference = |oracle - quadrature| / quadrature inherits the
+    # oracle's relative error magnified by oracle / |oracle - quadrature|
+    scale = want["ratio_oracle"] / abs(want["ratio_oracle"] - want["ratio_quadrature"])
+    assert got["rel_difference"] == pytest.approx(want["rel_difference"],
+                                                  rel=1e-10 * scale, abs=0)
+
+
 if __name__ == "__main__":
-    json.dump({name: _record(name) for name in QUADRATURE_CASES}, sys.stdout, indent=1)
+    if sys.argv[1:] == ["oracle_ed"]:
+        doc = [_record_oracle(eta, nu) for eta, nu in ORACLE_POINTS]
+    else:
+        doc = {name: _record(name) for name in QUADRATURE_CASES}
+    json.dump(doc, sys.stdout, indent=1)
     sys.stdout.write("\n")

@@ -1,12 +1,16 @@
 """Discretized-mode dynamics: golden-rule limits, unitarity, cross-route checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zenoscope.errors import DomainError, NumericalError
 from zenoscope.oracle import (
+    _arrowhead_eigensystem,
     BandLimitedReservoir,
     DiscretizedModes,
     OracleConfig,
@@ -152,6 +156,119 @@ def test_survival_recurrence_guard():
     # spacing 5e-3 -> recurrence ~ 1257; tau=1000 violates the 10x margin
     with pytest.raises(DomainError):
         survival_probability(modes, 1.0, 1000.0, cfg)
+
+
+# ---------------------------------------------------------------------------
+# exact diagonalization against dense eigh
+# ---------------------------------------------------------------------------
+
+def _dense_eigensystem(modes, omega0):
+    """Reference: the dense arrowhead Hamiltonian through np.linalg.eigh."""
+    n = len(modes.omega)
+    h = np.zeros((n + 1, n + 1))
+    h[0, 1:] = h[1:, 0] = modes.g
+    h[np.arange(1, n + 1), np.arange(1, n + 1)] = modes.omega - omega0
+    vals, vecs = np.linalg.eigh(h)
+    return vals, vecs[0] ** 2
+
+
+def _random_arrowhead(case, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(100, 401))
+    omega = np.sort(rng.uniform(0.0, 3.0, n))
+    g = rng.uniform(0.0, 1.0, n)
+    if case == "weak":
+        g *= 1e-4
+    elif case == "strong":
+        g *= 0.3
+    elif case == "zero":
+        g *= 1e-3
+        g[rng.uniform(size=n) < 0.5] = 0.0
+    elif case == "tied":
+        omega = np.round(omega * 30.0) / 30.0
+        g *= 1e-3
+    elif case == "unsorted":
+        perm = rng.permutation(n)
+        omega, g = omega[perm], 1e-3 * g[perm] * rng.choice([-1.0, 1.0], n)
+    return DiscretizedModes(omega=omega, g=g), float(rng.uniform(0.5, 2.5))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", ["weak", "strong", "zero", "tied", "unsorted"])
+def test_exact_diagonalization_matches_dense_eigh(case, seed):
+    modes, omega0 = _random_arrowhead(case, seed)
+    vals, weights = _arrowhead_eigensystem(modes, omega0)
+    ref_vals, ref_weights = _dense_eigensystem(modes, omega0)
+    scale = max(np.max(np.abs(modes.omega - omega0)), np.linalg.norm(modes.g))
+    assert np.max(np.abs(vals - ref_vals)) <= 1e-12 * scale
+    assert np.max(np.abs(weights - ref_weights)) <= 1e-12
+    for tau in np.array([1.0, 10.0, 100.0]) / scale:
+        p = abs(np.sum(weights * np.exp(-1j * vals * tau))) ** 2
+        ref = abs(np.sum(ref_weights * np.exp(-1j * ref_vals * tau))) ** 2
+        assert p == pytest.approx(ref, rel=1e-10, abs=0)
+
+
+def test_exact_diagonalization_without_coupling_is_exactly_the_atom():
+    modes = discretize_reservoir(_flat(0.0), OracleConfig(n_modes=500, band=(0.5, 1.5)))
+    vals, weights = _arrowhead_eigensystem(modes, 1.0)
+    assert len(vals) == 501 and weights.sum() == 1.0
+    assert vals[np.argmax(weights)] == 0.0
+    cfg = OracleConfig(n_modes=500, band=(0.5, 1.5), method="exact_diagonalization")
+    assert survival_probability(modes, 1.0, 10.0, cfg) == (1.0, 0.0)
+
+
+def test_exact_diagonalization_mode_limit():
+    omega = np.linspace(0.0, 2.0, 20_001)
+    with pytest.raises(DomainError, match="20000"):
+        _arrowhead_eigensystem(DiscretizedModes(omega=omega, g=np.ones_like(omega)), 1.0)
+
+
+def _arrowheads(max_exponent):
+    """Random (omega, g, omega0): poles on [0, 3] with frequent exact ties,
+    couplings 0 or 10**e for e in [-8, max_exponent]."""
+    omega = st.sampled_from([0.25, 0.5, 1.0, 1.5]) | st.floats(0.0, 3.0)
+    g = st.just(0.0) | st.floats(-8.0, max_exponent).map(lambda e: 10.0 ** e)
+    modes = st.lists(st.tuples(omega, g), min_size=1, max_size=60).map(
+        lambda pairs: DiscretizedModes(*(np.array(x) for x in zip(*pairs))))
+    return st.tuples(modes, st.floats(0.5, 2.5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_arrowheads(max_exponent=1.0))
+def test_exact_diagonalization_interlaces_at_any_coupling(arrowhead):
+    modes, omega0 = arrowhead
+    vals, weights = _arrowhead_eigensystem(modes, omega0)
+    assert len(vals) == len(modes.omega) + 1
+    assert np.all(weights >= 0.0)
+    # Cauchy interlacing: lam_k <= delta_k <= lam_{k+1} for sorted delta
+    delta = np.sort(modes.omega - omega0)
+    assert np.all(vals[:-1] <= delta) and np.all(delta <= vals[1:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_arrowheads(max_exponent=-1.0))
+def test_exact_diagonalization_weights_sum_to_one(arrowhead):
+    # Checked at couplings up to 0.1, where the oracle runs.  A weight's
+    # relative error grows as eps * scale / |lam - delta_anchor|, so a strong
+    # coupling that moves an eigenvalue next to a weakly coupled pole costs
+    # digits: g = (1, 1e-4) at delta = (0, 1) misses the two weights near
+    # lam = 1 by 1e-13 each and the sum by 2e-13 (dense eigh misses those
+    # weights by 4e-13, though its sum, a row norm, stays exact).
+    vals, weights = _arrowhead_eigensystem(*arrowhead)
+    assert abs(weights.sum() - 1.0) <= 1e-13
+
+
+def test_exact_diagonalization_memory_stays_linear():
+    # a dense (n+1)^2 matrix at n = 5000 would take 200 MB
+    modes = discretize_reservoir(_desk_reservoir(3, d=3e-3),
+                                 OracleConfig(n_modes=5000, band=(0.0, 11.0)))
+    tracemalloc.start()
+    try:
+        _arrowhead_eigensystem(modes, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 # ---------------------------------------------------------------------------
