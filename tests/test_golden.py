@@ -6,13 +6,15 @@ keep 9 significant digits; ``quadrature.json`` keeps every bit of
 ``ratio`` and ``err_estimate``.  Any change to either is a regression.
 
 ``oracle_ed.json`` was written by the dense-``eigh`` exact diagonalization
-that preceded the secular-equation solver, at the desk-scale points of the
-oracle benchmark.  Its quadrature fields must match bit for bit; the oracle
-ratio, whose eigenvalues now come from a different algorithm, to 1e-10.
+that preceded the secular-equation solver, and ``oracle_rk4.json`` by the
+stage-by-stage RK4 loop that preceded the rank-4 step, both at the
+desk-scale points of the oracle benchmark.  Their quadrature fields must
+match bit for bit; the oracle ratio, now computed by a different
+algorithm, to 1e-10.
 
 To record a golden JSON file from a source tree, put that tree's ``src``
 first on ``PYTHONPATH`` and run ``python tests/test_golden.py quadrature``
-(or ``oracle_ed``).
+(or ``oracle_ed``, or ``oracle_rk4``).
 """
 
 import json
@@ -109,23 +111,26 @@ def test_quadrature_reproduces_golden_values_exactly(name):
     assert _record(name) == want
 
 
-# The oracle benchmark's points: desk-scale reservoir, ED at 2000 modes.
+# The oracle benchmark's points: desk-scale reservoir, ED at 2000 modes and
+# RK4 at 10^4 modes.
 ORACLE_POINTS = [(eta, nu) for eta in (1, 3) for nu in (1e-2, 3e-2)]
+ORACLE_CONFIGS = {
+    "oracle_ed": OracleConfig(n_modes=2000, method="exact_diagonalization"),
+    "oracle_rk4": OracleConfig(n_modes=10_000, method="rk4"),
+}
 
 
-def _record_oracle(eta, nu):
+def _record_oracle(name, eta, nu):
     reservoir = SimpleReservoir(d=1.0, eta=eta, mu=6, omega_x=50.0)
     oracle, quad, rel = oracle_vs_quadrature(
-        reservoir, 1.0, MeasurementSchedule(nu=nu),
-        OracleConfig(n_modes=2000, method="exact_diagonalization"))
+        reservoir, 1.0, MeasurementSchedule(nu=nu), ORACLE_CONFIGS[name])
     return {"eta": eta, "nu": nu, "ratio_oracle": oracle.ratio,
             "ratio_quadrature": quad.ratio, "rel_difference": rel}
 
 
-@pytest.mark.parametrize("index", range(len(ORACLE_POINTS)))
-def test_oracle_ed_reproduces_golden_values(index):
-    want = json.loads((DATA / "golden" / "oracle_ed.json").read_text())[index]
-    got = _record_oracle(*ORACLE_POINTS[index])
+def _check_oracle_golden(name, index):
+    want = json.loads((DATA / "golden" / f"{name}.json").read_text())[index]
+    got = _record_oracle(name, *ORACLE_POINTS[index])
     assert (got["eta"], got["nu"]) == (want["eta"], want["nu"])
     assert got["ratio_quadrature"] == want["ratio_quadrature"]
     assert got["ratio_oracle"] == pytest.approx(want["ratio_oracle"], rel=1e-10, abs=0)
@@ -136,9 +141,19 @@ def test_oracle_ed_reproduces_golden_values(index):
                                                   rel=1e-10 * scale, abs=0)
 
 
+@pytest.mark.parametrize("index", range(len(ORACLE_POINTS)))
+def test_oracle_ed_reproduces_golden_values(index):
+    _check_oracle_golden("oracle_ed", index)
+
+
+@pytest.mark.parametrize("index", range(len(ORACLE_POINTS)))
+def test_oracle_rk4_reproduces_golden_values(index):
+    _check_oracle_golden("oracle_rk4", index)
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] == ["oracle_ed"]:
-        doc = [_record_oracle(eta, nu) for eta, nu in ORACLE_POINTS]
+    if sys.argv[1:] and sys.argv[1] in ORACLE_CONFIGS:
+        doc = [_record_oracle(sys.argv[1], eta, nu) for eta, nu in ORACLE_POINTS]
     else:
         doc = {name: _record(name) for name in QUADRATURE_CASES}
     json.dump(doc, sys.stdout, indent=1)

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from zenoscope.errors import DomainError, NumericalError
 from zenoscope.oracle import (
     _arrowhead_eigensystem,
+    _auto_coupling_scale,
+    _survival_rk4,
     BandLimitedReservoir,
     DiscretizedModes,
     OracleConfig,
@@ -86,6 +88,21 @@ def test_discretize_requires_band():
         discretize_reservoir(_flat(1.0), OracleConfig(n_modes=500))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("method", ["rk4", "exact_diagonalization"])
+def test_discretize_rejects_non_finite_reservoir(method, bad):
+    # NaN couplings would otherwise read as uncoupled modes in ED, giving a
+    # plausible wrong ratio, and as a failure only after every RK4 step
+    r = _desk_reservoir(3)
+
+    def spoiled(w):
+        return np.where(np.abs(w - 3.0) < 0.1, bad, r(w))
+
+    with pytest.raises(DomainError, match="finite"):
+        oracle_rate(spoiled, 1.0, MeasurementSchedule(nu=1e-2),
+                    OracleConfig(n_modes=2000, method=method))
+
+
 # ---------------------------------------------------------------------------
 # survival probability
 # ---------------------------------------------------------------------------
@@ -156,6 +173,86 @@ def test_survival_recurrence_guard():
     # spacing 5e-3 -> recurrence ~ 1257; tau=1000 violates the 10x margin
     with pytest.raises(DomainError):
         survival_probability(modes, 1.0, 1000.0, cfg)
+
+
+# ---------------------------------------------------------------------------
+# RK4 against the exact discrete solution and the stage-by-stage loop
+# ---------------------------------------------------------------------------
+
+def _rk4_steps(delta, tau, dt=None):
+    """The oracle's step rule: n_steps and h."""
+    w = max(float(np.max(np.abs(delta))), 1e-300)
+    step = 0.1 / w if dt is None else min(dt, 0.1 / w)
+    n_steps = max(int(math.ceil(tau / step)), 4)
+    return n_steps, tau / n_steps
+
+
+def _stagewise_rk4(modes, omega0, tau, dt):
+    """Reference: the classical four-stage RK4 loop on the full state."""
+    delta = modes.omega - omega0
+    n_steps, h = _rk4_steps(delta, tau, dt)
+    y = np.zeros(len(delta) + 1, dtype=np.complex128)
+    y[0] = 1.0
+    mig, mid = -1j * modes.g, -1j * delta
+
+    def deriv(v):
+        return np.concatenate(([mig @ v[1:]], mid * v[1:] + mig * v[0]))
+
+    drift = 0.0
+    for i in range(n_steps):
+        k1 = deriv(y)
+        k2 = deriv(y + 0.5 * h * k1)
+        k3 = deriv(y + 0.5 * h * k2)
+        k4 = deriv(y + h * k3)
+        y = y + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        if i % max(1, n_steps // 32) == 0:
+            drift = max(drift, abs(float(np.vdot(y, y).real) - 1.0))
+    drift = max(drift, abs(float(np.vdot(y, y).real) - 1.0))
+    return float(abs(y[0]) ** 2), drift
+
+
+@pytest.mark.parametrize("timing", ["stability", "explicit-dt", "four-step-floor"])
+@pytest.mark.parametrize("seed", range(4))
+def test_rk4_matches_stagewise_loop(seed, timing):
+    # unsorted poles, signed couplings and about a third of them zero
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 301))
+    omega = rng.uniform(0.0, 3.0, n)
+    g = rng.uniform(-3e-2, 3e-2, n) * (rng.uniform(size=n) > 0.3)
+    modes, omega0 = DiscretizedModes(omega=omega, g=g), float(rng.uniform(0.5, 2.5))
+    stability = 0.1 / np.max(np.abs(omega - omega0))
+    tau, dt = {"stability": (30.0, None),
+               "explicit-dt": (10.0, 0.3 * stability),
+               "four-step-floor": (0.5 * stability, None)}[timing]
+    if timing == "four-step-floor":
+        assert _rk4_steps(omega - omega0, tau)[0] == 4
+    p_ref, drift_ref = _stagewise_rk4(modes, omega0, tau, dt)
+    res = _survival_rk4(modes, omega0, tau, dt)
+    assert res.probability == pytest.approx(p_ref, rel=0, abs=1e-12)
+    assert res.norm_drift == pytest.approx(drift_ref, rel=1e-6, abs=1e-14)
+
+
+@pytest.mark.parametrize("nu", [1e-2, 3e-2])
+@pytest.mark.parametrize("eta", [1, 3])
+def test_rk4_reproduces_the_exact_discrete_solution(eta, nu):
+    # The RK4 propagator of y' = -iHy is R(-ihH) with R(z) = sum_{j<=4} z^j/j!,
+    # so a_n = sum_j w_j R(-ih lam_j)^n over H's eigenpairs.  |R(iy)|^2 is
+    # 1 - y^6/72 + y^8/576 exactly; its logarithm and R's phase are taken
+    # apart so that the n-th power keeps every digit.
+    tau, band = 1.0 / nu, (0.0, 1.0 + 1e3 * nu)
+    modes = discretize_reservoir(_desk_reservoir(eta), OracleConfig(n_modes=2000, band=band))
+    scale = _auto_coupling_scale(modes, 1.0, tau, nu)
+    modes = DiscretizedModes(omega=modes.omega, g=modes.g * math.sqrt(scale))
+    n_steps, h = _rk4_steps(modes.omega - 1.0, tau)
+    lam, weights = _arrowhead_eigensystem(modes, 1.0)
+    y = h * lam
+    log_modulus = 0.5 * np.log1p(y ** 4 * (y ** 4 / 576.0 - y ** 2 / 72.0))
+    phase = np.arctan2(-(y - y ** 3 / 6.0), 1.0 - y ** 2 / 2.0 + y ** 4 / 24.0)
+    amp = np.sum(weights * np.exp(n_steps * (log_modulus + 1j * phase)))
+    want = -math.log(abs(amp) ** 2)
+    got = -math.log(survival_probability(modes, 1.0, tau, OracleConfig(
+        n_modes=2000, band=band, method="rk4")).probability)
+    assert got == pytest.approx(want, rel=1e-10, abs=0)
 
 
 # ---------------------------------------------------------------------------
