@@ -29,10 +29,8 @@ from .reservoir import (
     SimpleReservoir,
     builtin_names,
     builtin_transition,
-    eta_for,
     frequency_ratio,
     load_reservoir_config,
-    mu_for,
 )
 
 SWEEP_HEADER = "nu_over_omega0,ratio_quadrature,ratio_analytic,rel_err,rwa_warning,status"
@@ -112,47 +110,32 @@ class SweepSpec:
         return [float(p) for p in pts]
 
 
-def _sweep_row(reservoir, omega0: float, nu: float, want_quad: bool,
-               want_analytic: bool) -> dict:
-    row = {"nu": nu, "quad": None, "analytic": None, "rel_err": None,
-           "rwa": None, "status": "ok"}
+def _sweep_csv_row(reservoir, omega0: float, nu: float, want_quad: bool,
+                   want_analytic: bool) -> str:
+    quad = analytic = rel_err = rwa = None
+    status = "ok"
     try:
         m = MeasurementSchedule(nu=nu)
         if want_quad:
             q = modified_rate_quadrature(reservoir, omega0, m)
-            row["quad"] = q.ratio
-            row["rwa"] = q.rwa_warning
+            quad, rwa = q.ratio, q.rwa_warning
             if not q.converged:
-                row["status"] = "unconverged"
+                status = "unconverged"
         if want_analytic:
             a = analytic_rate(reservoir, omega0, m)
-            row["analytic"] = a.ratio
-            if row["rwa"] is None:
-                row["rwa"] = a.rwa_warning
-        if row["quad"] is not None and row["analytic"] is not None:
-            row["rel_err"] = abs(row["quad"] - row["analytic"]) / row["quad"]
+            analytic = a.ratio
+            if rwa is None:
+                rwa = a.rwa_warning
+        if quad is not None and analytic is not None:
+            rel_err = abs(quad - analytic) / quad
     except (ZenoscopeError, ArithmeticError, ValueError) as exc:
         # a failing point, including one a custom reservoir raises on,
-        # costs its own row only
-        row["quad"] = row["analytic"] = row["rel_err"] = None
-        row["status"] = f"error:{type(exc).__name__}"
-    return row
-
-
-def _render_sweep_row(row: dict) -> str:
-    rwa = "" if row["rwa"] is None else ("true" if row["rwa"] else "false")
-    return ",".join([
-        _csv_num(row["nu"]),
-        _csv_num(row["quad"]),
-        _csv_num(row["analytic"]),
-        _csv_num(row["rel_err"]),
-        rwa,
-        row["status"],
-    ])
-
-
-def _run_sweep(reservoir, omega0, nus, want_quad, want_analytic):
-    return [_sweep_row(reservoir, omega0, nu, want_quad, want_analytic) for nu in nus]
+        # costs its own row only; it keeps the rwa flag already found
+        quad = analytic = rel_err = None
+        status = f"error:{type(exc).__name__}"
+    flag = "" if rwa is None else ("true" if rwa else "false")
+    return ",".join([_csv_num(nu), _csv_num(quad), _csv_num(analytic), _csv_num(rel_err),
+                     flag, status])
 
 
 def cmd_rate(args) -> int:
@@ -181,10 +164,9 @@ def cmd_sweep(args) -> int:
     reservoir, omega0 = _resolve_transition(spec.transition)
     want_quad = spec.methods in ("both", "quadrature")
     want_analytic = spec.methods in ("both", "analytic")
-    rows = _run_sweep(reservoir, omega0, spec.nu_values(), want_quad, want_analytic)
     print(SWEEP_HEADER)
-    for row in rows:
-        print(_render_sweep_row(row))
+    for nu in spec.nu_values():
+        print(_sweep_csv_row(reservoir, omega0, nu, want_quad, want_analytic))
     return 0
 
 
@@ -194,9 +176,8 @@ def cmd_figure2(args) -> int:
         spec = SweepSpec(transition=name, nu_min=args.nu_min,
                          nu_max=args.nu_max, points=args.points)
         reservoir, omega0 = builtin_transition(name)
-        rows = _run_sweep(reservoir, omega0, spec.nu_values(), True, True)
-        for row in rows:
-            print(f"{name},{_render_sweep_row(row)}")
+        for nu in spec.nu_values():
+            print(f"{name},{_sweep_csv_row(reservoir, omega0, nu, True, True)}")
     return 0
 
 
@@ -204,10 +185,9 @@ def cmd_table1(args) -> int:
     consts = PhysicalConstants(alpha=args.alpha) if args.alpha else PhysicalConstants()
     print(TABLE1_HEADER)
     for name, t in BUILTIN_QUANTUM_NUMBERS.items():
-        eta = eta_for(t.j_min, t.epsilon)
-        mu = mu_for(t)
+        reservoir, _ = builtin_transition(name)
         ratio = 1.0 / frequency_ratio(t, consts)
-        print(f"{name}\t{eta}\t{mu}\t{ratio:.4g}")
+        print(f"{name}\t{reservoir.eta}\t{reservoir.mu}\t{ratio:.4g}")
     return 0
 
 

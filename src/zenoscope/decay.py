@@ -30,7 +30,8 @@ not depend on how the nodes are gathered.
 
 The closed form (``analytic_rate``) is one Beta-function tail summed over
 the reservoir's ``term_powers()`` and normalised by its ``leading_term()``;
-a single-term reservoir is the sum with one term.
+a single-term reservoir is the sum with one term.  Its method tag is the
+reservoir's ``closed_form``; a reservoir without one has no closed form.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ import numpy as np
 
 from .errors import DegenerateTransitionError, DomainError, NumericalError
 from .profile import MeasurementSchedule
-from .reservoir import FullReservoir, SimpleReservoir
 from .specfun import beta, sinc_sq
 
 __all__ = [
@@ -58,11 +58,9 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 METHOD_QUADRATURE = "quadrature"
-METHOD_ANALYTIC_SIMPLE = "analytic_simple"
-METHOD_ANALYTIC_FULL = "analytic_full"
 METHOD_ORACLE = "oracle"
-_METHODS = (METHOD_QUADRATURE, METHOD_ANALYTIC_SIMPLE, METHOD_ANALYTIC_FULL,
-            METHOD_ORACLE)
+# the closed-form tags are the reservoir classes' ``closed_form``
+_METHODS = (METHOD_QUADRATURE, "analytic_simple", "analytic_full", METHOD_ORACLE)
 
 
 @dataclass(frozen=True)
@@ -382,11 +380,8 @@ def analytic_rate(reservoir, omega0: float, m: MeasurementSchedule) -> DecayResu
     warning is issued below a ratio of 10).  Raises
     DegenerateTransitionError when the leading coupling vanishes.
     """
-    if isinstance(reservoir, SimpleReservoir):
-        method = METHOD_ANALYTIC_SIMPLE
-    elif isinstance(reservoir, FullReservoir):
-        method = METHOD_ANALYTIC_FULL
-    else:
+    method = getattr(reservoir, "closed_form", None)
+    if method is None:
         raise DomainError("analytic_rate requires a SimpleReservoir or FullReservoir")
     if omega0 <= 0:
         raise DomainError("omega0 must be positive")

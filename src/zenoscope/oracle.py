@@ -121,7 +121,8 @@ def discretize_reservoir(reservoir, cfg: OracleConfig) -> DiscretizedModes:
     lo, hi = cfg.band
     d_omega = (hi - lo) / cfg.n_modes
     omega = lo + (np.arange(cfg.n_modes) + 0.5) * d_omega
-    vals = np.asarray(reservoir(omega), dtype=float)
+    # a callable may return one value for all frequencies, as a flat spectrum can
+    vals = np.broadcast_to(np.asarray(reservoir(omega), dtype=float), omega.shape)
     if not (np.all(np.isfinite(vals)) and np.all(vals >= 0)):
         raise DomainError("reservoir must be finite and non-negative on the band")
     return DiscretizedModes(omega=omega, g=np.sqrt(vals * d_omega))
@@ -322,7 +323,10 @@ def survival_probability(modes: DiscretizedModes, omega0: float, tau: float,
     """
     if tau <= 0:
         raise DomainError("tau must be positive")
-    recurrence = _TWO_PI / modes.spacing
+    if len(modes.omega) < 2:
+        raise DomainError("the recurrence guard needs at least two modes")
+    # the mean spacing, which does not depend on the order of the modes
+    recurrence = _TWO_PI * (len(modes.omega) - 1) / np.ptp(modes.omega)
     if tau * 10.0 > recurrence:
         raise DomainError(
             f"tau={tau:g} is too long for the mode spacing: recurrence time "
@@ -439,9 +443,7 @@ class BandLimitedReservoir:
         w = np.asarray(omega, dtype=float)
         lo, hi = self.band
         out = np.where((w >= lo) & (w <= hi), self._inner(np.maximum(w, 0.0)), 0.0)
-        if np.isscalar(omega) or w.ndim == 0:
-            return float(out)
-        return out
+        return float(out) if w.ndim == 0 else out
 
 
 def oracle_vs_quadrature(reservoir, omega0: float, m: MeasurementSchedule,

@@ -53,9 +53,7 @@ def profile_resonant_approx(m: MeasurementSchedule, delta):
     half_width = math.pi * m.nu
     arr = np.asarray(delta, dtype=float)
     out = np.where(np.abs(arr) < half_width, height, 0.0)
-    if np.isscalar(delta) or arr.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if arr.ndim == 0 else out
 
 
 def profile_tail_approx(m: MeasurementSchedule, delta):
@@ -64,6 +62,4 @@ def profile_tail_approx(m: MeasurementSchedule, delta):
     if np.any(arr == 0.0):
         raise DomainError("tail approximation is undefined at delta = 0")
     out = m.nu / (math.pi * arr * arr)
-    if np.isscalar(delta) or arr.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if arr.ndim == 0 else out

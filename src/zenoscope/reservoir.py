@@ -8,8 +8,10 @@ decaying to 1S produces a single such term (``SimpleReservoir``); the
 general case is a sum over photon angular momenta J and radial orders r
 (``FullReservoir``) whose coefficient table is a user input.  Both expose
 the same metadata: ``mu``, ``omega_x``, ``term_powers()`` (the
-``(amplitude, power)`` of every term) and ``leading_term()`` (the term
-that normalises the closed-form ratio).
+``(amplitude, power)`` of every term), ``leading_term()`` (the term
+that normalises the closed-form ratio) and ``closed_form``, the method
+tag of their closed-form ratio.  Both evaluate through one kernel that
+sums ``term_powers()`` under a single shared rolloff.
 
 Dimensionless convention: coupling amplitudes default to ``d = 1`` and the
 transition frequency to ``omega0 = 1`` (the modified/free rate ratio does
@@ -182,15 +184,18 @@ def nj_for(t: Transition, j: int) -> int:
     return 2 * (t.n_e + t.n_g) - 4 - j - t.l_e - t.l_g - t.epsilon
 
 
-def _eval_term(omega, d: float, power: int, mu: int, omega_x: float):
+def _rolloff_sum(omega, term_powers, mu: int, omega_x: float):
+    """Sum of d omega_x x^p / (1 + x^2)^mu over ``(d, p)`` in order, x = omega/omega_x."""
     w = np.asarray(omega, dtype=float)
     if np.any(w < 0):
         raise DomainError("reservoir evaluation requires omega >= 0")
     x = w / omega_x
-    val = d * omega_x * x ** power / (1.0 + x * x) ** mu
-    if np.isscalar(omega) or getattr(omega, "ndim", 1) == 0:
-        return float(val)
-    return val
+    rolloff = (1.0 + x * x) ** mu
+    (d, p), *rest = term_powers
+    total = d * omega_x * x ** p / rolloff
+    for d, p in rest:
+        total = total + d * omega_x * x ** p / rolloff
+    return float(total) if w.ndim == 0 else total
 
 
 @dataclass(frozen=True)
@@ -199,6 +204,8 @@ class SimpleReservoir:
 
     Integrability over [0, inf) requires 2 mu > eta + 1.
     """
+
+    closed_form = "analytic_simple"
 
     d: float
     eta: int
@@ -217,7 +224,7 @@ class SimpleReservoir:
 
     def eval(self, omega):
         """Coupling spectrum at omega (scalar or array), omega >= 0."""
-        return _eval_term(omega, self.d, self.eta, self.mu, self.omega_x)
+        return _rolloff_sum(omega, self.term_powers(), self.mu, self.omega_x)
 
     __call__ = eval
 
@@ -246,6 +253,8 @@ class FullReservoir:
     enforced by :meth:`from_transition`; directly constructed instances
     check only what the fields themselves allow.
     """
+
+    closed_form = "analytic_full"
 
     terms: tuple[tuple[int, int, float], ...]
     epsilon: int
@@ -316,50 +325,42 @@ class FullReservoir:
 
     def eval(self, omega):
         """Coupling spectrum at omega (scalar or array), omega >= 0."""
-        parts = [_eval_term(omega, d, p, self.mu, self.omega_x)
-                 for d, p in self.term_powers()]
-        total = parts[0]
-        for p in parts[1:]:
-            total = total + p
-        return total
+        return _rolloff_sum(omega, self.term_powers(), self.mu, self.omega_x)
 
     __call__ = eval
 
 
-# eta, mu and the cutoff-to-transition frequency ratio for the three
-# reference electric transitions of hydrogen (maximal l_e, decay to 1S).
-_BUILTINS: dict[str, tuple[int, int, float]] = {
-    "2P-1S": (1, 4, 548.1),
-    "3D-1S": (3, 6, 411.1),
-    "4F-1S": (5, 8, 365.4),
-}
-
-# Quantum numbers behind each builtin, used to regenerate the parameter
-# table from first principles.
+# Quantum numbers of the three reference electric transitions of hydrogen
+# (maximal l_e, decay to 1S); they fix eta and mu and regenerate table 1.
 BUILTIN_QUANTUM_NUMBERS: dict[str, Transition] = {
     "2P-1S": Transition(ELECTRIC, 1, 0, 0, 2, 1, 0, 1.0),
     "3D-1S": Transition(ELECTRIC, 1, 0, 0, 3, 2, 0, 1.0),
     "4F-1S": Transition(ELECTRIC, 1, 0, 0, 4, 3, 0, 1.0),
 }
 
+# Tabulated cutoff-to-transition frequency ratio of each builtin.
+_BUILTIN_OMEGA_X = {"2P-1S": 548.1, "3D-1S": 411.1, "4F-1S": 365.4}
+
 
 def builtin_names() -> list[str]:
-    return list(_BUILTINS)
+    return list(BUILTIN_QUANTUM_NUMBERS)
 
 
 def builtin_transition(name: str) -> tuple[SimpleReservoir, float]:
     """Reference reservoir for a named transition, in dimensionless mode.
 
-    Returns ``(reservoir, omega0)`` with d = 1, omega0 = 1 and omega_x set
-    to the tabulated cutoff-to-transition frequency ratio.
+    Returns ``(reservoir, omega0)`` with d = 1, omega0 = 1, eta and mu from
+    the quantum numbers and omega_x set to the tabulated cutoff-to-transition
+    frequency ratio.
     """
     try:
-        eta, mu, ratio = _BUILTINS[name]
+        t = BUILTIN_QUANTUM_NUMBERS[name]
     except KeyError:
         raise DomainError(
-            f"unknown transition {name!r}; valid names: {', '.join(_BUILTINS)}"
+            f"unknown transition {name!r}; valid names: {', '.join(builtin_names())}"
         ) from None
-    return SimpleReservoir(d=1.0, eta=eta, mu=mu, omega_x=ratio), 1.0
+    return SimpleReservoir(d=1.0, eta=eta_for(t.j_min, t.epsilon), mu=mu_for(t),
+                           omega_x=_BUILTIN_OMEGA_X[name]), 1.0
 
 
 def _term_amplitude(entry: dict, t: Transition, j: int) -> float:

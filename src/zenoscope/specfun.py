@@ -45,9 +45,7 @@ def sinc_sq(x):
     safe = np.where(small, 1.0, arr)
     direct = np.square(np.sin(arr) / safe)
     out = np.where(small, series, direct)
-    if np.isscalar(x) or getattr(x, "ndim", 1) == 0:
-        return float(out)
-    return out
+    return float(out) if arr.ndim == 0 else out
 
 
 # log-factorials 0! .. 170!; all factorial arguments in Racah's sum for

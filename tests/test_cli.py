@@ -195,6 +195,21 @@ def test_sweep_reservoir_errors_keep_their_own_rows(capsys, monkeypatch, error):
         assert rows[i][1] == f"{want.ratio:.9g}"
 
 
+def test_sweep_error_rows_keep_the_quadrature_rwa_flag(capsys, monkeypatch):
+    # the quadrature succeeds on a plain callable; the closed form then
+    # rejects it, and the row keeps the rwa flag the quadrature found
+    def plain(omega):
+        return SimpleReservoir(d=1.0, eta=3, mu=6, omega_x=50.0)(omega)
+
+    monkeypatch.setattr(cli, "_resolve_transition", lambda spec: (plain, 1.0))
+    code, out, _ = run_cli(capsys, "sweep", "--transition", "plain", "--nu-min", "1e-3",
+                           "--nu-max", "1e-1", "--points", "3", "--methods", "both")
+    assert code == 0
+    rows = out.rstrip("\n").split("\n")[1:]
+    nus = SweepSpec(transition="plain", nu_min=1e-3, nu_max=1e-1, points=3).nu_values()
+    assert rows == [f"{nu:.9g},,,,false,error:DomainError" for nu in nus]
+
+
 def test_sweep_spec_validation():
     spec = SweepSpec(transition="3D-1S", nu_min=1e-4, nu_max=1e-2, points=5)
     values = spec.nu_values()

@@ -13,6 +13,7 @@ from zenoscope.decay import (
     modified_rate_quadrature,
 )
 from zenoscope.errors import DegenerateTransitionError, DomainError, NumericalError
+from zenoscope.oracle import BandLimitedReservoir
 from zenoscope.profile import MeasurementSchedule
 from zenoscope.reservoir import FullReservoir, SimpleReservoir, builtin_transition
 
@@ -119,6 +120,29 @@ def test_analytic_simple_beta_domain_error():
     # reservoir is rejected before the closed form is reached
     with pytest.raises(DomainError):
         _analytic(SimpleReservoir(d=1.0, eta=9, mu=4, omega_x=400.0), 1e-3)
+
+
+class _Untagged:
+    """Has the quadrature's metadata contract but names no closed form."""
+
+    mu = 6
+    omega_x = 411.1
+
+    def term_powers(self):
+        return ((1.0, 3),)
+
+    def __call__(self, omega):
+        return SimpleReservoir(d=1.0, eta=3, mu=6, omega_x=411.1)(omega)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (lambda w: np.ones_like(np.asarray(w, dtype=float))),
+    lambda: BandLimitedReservoir(builtin_transition("3D-1S")[0], (0.0, 5.0)),
+    _Untagged,
+], ids=["plain-callable", "band-limited", "untagged-contract"])
+def test_analytic_requires_a_closed_form_tag(make):
+    with pytest.raises(DomainError):
+        _analytic(make(), 1e-3)
 
 
 def test_analytic_hierarchy_warning():

@@ -173,6 +173,22 @@ def test_survival_recurrence_guard():
     # spacing 5e-3 -> recurrence ~ 1257; tau=1000 violates the 10x margin
     with pytest.raises(DomainError):
         survival_probability(modes, 1.0, 1000.0, cfg)
+    # one mode has no spacing to guard with
+    with pytest.raises(DomainError):
+        survival_probability(DiscretizedModes(modes.omega[:1], modes.g[:1]), 1.0, 1.0, cfg)
+
+
+@pytest.mark.parametrize("method", ["rk4", "exact_diagonalization"])
+def test_survival_does_not_depend_on_mode_order(method):
+    cfg = OracleConfig(n_modes=2000, band=(0.5, 1.5), method=method)
+    modes = discretize_reservoir(_desk_reservoir(3, d=3e-3), cfg)
+    reversed_modes = DiscretizedModes(omega=modes.omega[::-1], g=modes.g[::-1])
+    want = survival_probability(modes, 1.0, 30.0, cfg).probability
+    got = survival_probability(reversed_modes, 1.0, 30.0, cfg).probability
+    if method == "exact_diagonalization":
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +395,13 @@ def test_oracle_rate_flat_reservoir_markovian():
                       OracleConfig(n_modes=4000))
     assert res.method == "oracle"
     assert res.ratio == pytest.approx(1.0, abs=0.02)
+
+
+def test_oracle_rate_accepts_a_scalar_returning_reservoir():
+    # the quadrature broadcasts a flat spectrum's one value; so does the oracle
+    m = MeasurementSchedule(nu=1e-2)
+    cfg = OracleConfig(n_modes=2000, method="exact_diagonalization")
+    assert oracle_rate(lambda w: 1e-4, 1.0, m, cfg) == oracle_rate(_flat(1e-4), 1.0, m, cfg)
 
 
 def test_oracle_rate_band_coverage_guard():
