@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import os
 import sys
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from .oracle import OracleConfig, oracle_vs_quadrature
 from .profile import MeasurementSchedule
 from .reservoir import (
     BUILTIN_QUANTUM_NUMBERS,
+    CONSTANTS,
     PhysicalConstants,
     SimpleReservoir,
     builtin_names,
@@ -38,28 +40,11 @@ FIGURE2_HEADER = "transition," + SWEEP_HEADER
 TABLE1_HEADER = "transition\teta\tmu\tomega_x_over_omega0"
 
 
-def _fmt_json_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_fmt_json_value(v) for v in value) + "]"
-    if isinstance(value, dict):
-        items = (f'{_fmt_json_value(str(k))}: {_fmt_json_value(v)}'
-                 for k, v in value.items())
-        return "{" + ", ".join(items) + "}"
-    raise TypeError(f"cannot serialize {type(value)!r}")
-
-
 def dumps_json(doc: dict) -> str:
-    return _fmt_json_value(doc)
+    """One flat JSON object; its floats keep 17 significant digits."""
+    items = (f"{json.dumps(k)}: {v:.17g}" if isinstance(v, float)
+             else f"{json.dumps(k)}: {json.dumps(v)}" for k, v in doc.items())
+    return "{" + ", ".join(items) + "}"
 
 
 def _csv_num(value) -> str:
@@ -182,7 +167,7 @@ def cmd_figure2(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    consts = PhysicalConstants(alpha=args.alpha) if args.alpha else PhysicalConstants()
+    consts = CONSTANTS if args.alpha is None else PhysicalConstants(alpha=args.alpha)
     print(TABLE1_HEADER)
     for name, t in BUILTIN_QUANTUM_NUMBERS.items():
         reservoir, _ = builtin_transition(name)

@@ -213,6 +213,7 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
     - ``omega_x``: the cutoff; the walk is truncated at
       ``max_omega_factor * omega_x`` (else at that multiple of omega0);
     - ``omega_support_end``: where R ends, truncating there with no remainder;
+      the walk then ends on a lobe multiple and the cut lobe is exact;
     - ``mu`` and ``term_powers()``: the rolloff exponent and the
       ``(amplitude, power)`` of every term, which must be integrable and
       give the power-law bound on the integral beyond the truncation.
@@ -270,7 +271,13 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
         if u_min < -aligned_end:
             parts["tail"], weights["tail"] = _panel_nodes(np.array([u_min, -aligned_end]), n)
     if u_max > lobe_k:
-        far["above"] = _aligned_geometric(lobe_k, u_max, _GROWTH)
+        # where R ends, the walk stops on a lobe multiple; the cut lobe is exact
+        top = (max(lobe_k, _TWO_PI * math.floor(u_max / _TWO_PI)) if truncated_by_support
+               else u_max)
+        if top > lobe_k:
+            far["above"] = _aligned_geometric(lobe_k, top, _GROWTH)
+        if top < u_max:
+            parts["edge"], weights["edge"] = _panel_nodes(np.array([top, u_max]), n)
     for side, edges in far.items():
         parts[side], weights[side] = _panel_nodes(edges, n)
         parts[side + "+"] = edges + 0.5
@@ -292,14 +299,19 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
     if "tail" in parts:
         gamma_below += float(np.dot(sinc_sq(0.5 * parts["tail"]) * r["tail"], weights["tail"]))
 
-    # --- far region above resonance: stop at the first panel that is small
-    # and leaves a small remainder bound ----------------------------------------
+    # --- far region above resonance, then the partial lobe at the band edge:
+    # stop at the first panel that is small and leaves a small remainder bound
     beyond = 0.0 if truncated_by_support else _beyond_truncation_bound(
         terms, mu, omega_x, omega0, nu, omega_max)
     gamma_above = 0.0
     converged = True
+    per_panel = np.empty(0)
     if "above" in far:
         per_panel = (smooth("above") * weights["above"]).reshape(-1, n).sum(axis=1)
+    if "edge" in parts:
+        per_panel = np.append(per_panel, np.dot(sinc_sq(0.5 * parts["edge"]) * r["edge"],
+                                                weights["edge"]))
+    if per_panel.size:
         prefix = np.cumsum(per_panel)
         suffix = prefix[-1] - prefix
         base = gamma_near + gamma_below
@@ -312,7 +324,8 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
         err_abs += remainder_bound
         if stop == len(per_panel) - 1 and remainder_bound >= cfg.rel_tol * (base + prefix[stop]):
             converged = False
-        err_abs += _telescoped((smooth("above+") - smooth("above-"))[: stop + 2])
+        if "above" in far:
+            err_abs += _telescoped((smooth("above+") - smooth("above-"))[: stop + 2])
     else:
         err_abs += beyond
 

@@ -9,8 +9,8 @@ target fractional reduction.
 
 The transition frequency is the measured value, not a Bohr formula: the
 ion is only approximately hydrogenic.  The cutoff is computed from the
-same hydrogenic-cutoff helper used everywhere else, so there is a single
-source of truth for the constants involved.
+same hydrogenic-cutoff helper used everywhere else, on the package's
+``CONSTANTS``, so there is a single source of truth for them.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .reservoir import CONSTANTS, PhysicalConstants, hydrogenic_cutoff
+from .reservoir import hydrogenic_cutoff
 
 __all__ = ["IonEstimate", "CA_OMEGA0", "CA_N_G", "CA_N_E", "CA_Z_EFF",
            "ca_ratio_factor", "required_measurement_rate", "ca_estimate"]
@@ -52,14 +52,13 @@ class IonEstimate:
                 raise DomainError(f"{name} must be positive")
 
 
-def ca_ratio_factor(consts: PhysicalConstants = CONSTANTS) -> float:
+def ca_ratio_factor() -> float:
     """(omega_x/omega0)^2 for the Ca+ quadrupole transition (~6.6e6)."""
-    omega_x = hydrogenic_cutoff(CA_N_G, CA_N_E, CA_Z_EFF, consts)
+    omega_x = hydrogenic_cutoff(CA_N_G, CA_N_E, CA_Z_EFF)
     return (omega_x / CA_OMEGA0) ** 2
 
 
-def required_measurement_rate(target_reduction: float, a: float,
-                              consts: PhysicalConstants = CONSTANTS) -> float:
+def required_measurement_rate(target_reduction: float, a: float) -> float:
     """Measurement rate nu (1/s) for a fractional rate increase target.
 
     Inverts (Gamma - Gamma0)/Gamma0 = A (nu/omega0) (omega_x/omega0)^2.
@@ -69,17 +68,16 @@ def required_measurement_rate(target_reduction: float, a: float,
         raise DomainError("target_reduction must be in (0, 1)")
     if a <= 0:
         raise DomainError("prefactor a must be positive")
-    return target_reduction * CA_OMEGA0 / (a * ca_ratio_factor(consts))
+    return target_reduction * CA_OMEGA0 / (a * ca_ratio_factor())
 
 
-def ca_estimate(target_reduction: float = 0.01, a: float = 1.0,
-                consts: PhysicalConstants = CONSTANTS) -> IonEstimate:
+def ca_estimate(target_reduction: float = 0.01, a: float = 1.0) -> IonEstimate:
     """Full feasibility record for the Ca+ quadrupole transition."""
-    omega_x = hydrogenic_cutoff(CA_N_G, CA_N_E, CA_Z_EFF, consts)
+    omega_x = hydrogenic_cutoff(CA_N_G, CA_N_E, CA_Z_EFF)
     return IonEstimate(
         omega0=CA_OMEGA0,
         omega_x=omega_x,
         ratio_sq=(omega_x / CA_OMEGA0) ** 2,
         prefactor_a=a,
-        required_nu=required_measurement_rate(target_reduction, a, consts),
+        required_nu=required_measurement_rate(target_reduction, a),
     )

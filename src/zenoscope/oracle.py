@@ -58,6 +58,11 @@ _EPS = float(np.finfo(float).eps)
 # of roots iterated together is sized from it, so memory stays O(n_modes).
 _BLOCK_BYTES = 1 << 20
 _SECULAR_MAX_ITER = 64
+# Mode limits: ED time grows as n_modes**2; RK4 holds about 120 B per mode.
+_ED_MAX_MODES = 20_000
+_MAX_MODES = 1_000_000
+_ED_TOO_LARGE = (f"exact diagonalization is limited to n_modes <= {_ED_MAX_MODES} "
+                 "(its time grows as n_modes**2)")
 
 METHOD_RK4 = "rk4"
 METHOD_ED = "exact_diagonalization"
@@ -80,10 +85,12 @@ class OracleConfig:
     coupling_scale: float | None = None
 
     def __post_init__(self):
-        if self.n_modes < 100:
-            raise DomainError("n_modes must be >= 100")
+        if not 100 <= self.n_modes <= _MAX_MODES:
+            raise DomainError(f"n_modes must lie in [100, {_MAX_MODES}]")
         if self.method not in (METHOD_RK4, METHOD_ED):
             raise DomainError(f"method must be '{METHOD_RK4}' or '{METHOD_ED}'")
+        if self.method == METHOD_ED and self.n_modes > _ED_MAX_MODES:
+            raise DomainError(_ED_TOO_LARGE)
         if self.band is not None:
             lo, hi = self.band
             if not (lo >= 0.0 and hi > lo):
@@ -282,10 +289,8 @@ def _arrowhead_eigensystem(modes: DiscretizedModes, omega0: float):
     takes the tie's whole coupling weight), leave their pole as an
     eigenvalue of weight 0.  O(n^2) time and O(n) memory.
     """
-    n = len(modes.omega)
-    if n > 20_000:
-        raise DomainError("exact diagonalization is limited to n_modes <= 20000 "
-                          "(its time grows as n_modes**2)")
+    if len(modes.omega) > _ED_MAX_MODES:
+        raise DomainError(_ED_TOO_LARGE)
     order = np.argsort(modes.omega, kind="stable")
     delta = modes.omega[order] - omega0
     g = np.abs(modes.g[order])
@@ -447,8 +452,8 @@ class BandLimitedReservoir:
 
 
 def oracle_vs_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
-                         cfg: OracleConfig | None = None,
-                         quad_cfg=None) -> tuple[DecayResult, DecayResult, float]:
+                         cfg: OracleConfig | None = None
+                         ) -> tuple[DecayResult, DecayResult, float]:
     """Oracle and quadrature results over the same band, plus relative difference.
 
     The quadrature runs on the band-limited reservoir so both routes
@@ -457,7 +462,6 @@ def oracle_vs_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
     """
     cfg = _with_band(cfg, omega0, m.nu)
     oracle = oracle_rate(reservoir, omega0, m, cfg)
-    quad = modified_rate_quadrature(BandLimitedReservoir(reservoir, cfg.band),
-                                    omega0, m, quad_cfg)
+    quad = modified_rate_quadrature(BandLimitedReservoir(reservoir, cfg.band), omega0, m)
     rel = abs(oracle.ratio - quad.ratio) / quad.ratio
     return oracle, quad, rel

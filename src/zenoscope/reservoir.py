@@ -23,6 +23,7 @@ amplitudes in physical units.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,23 +49,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Fundamental constants (CODATA 2018 defaults).
+    """Fundamental constants (CODATA 2018 defaults), each finite and positive.
+
+    The cutoffs read ``CONSTANTS``; only :func:`frequency_ratio` takes others.
 
     alpha : fine-structure constant (dimensionless)
     c     : speed of light, m/s
     a0    : Bohr radius, m
-    electron_mass : kg
     """
 
     alpha: float = 7.2973525693e-3
     c: float = 2.99792458e8
     a0: float = 5.29177210903e-11
-    electron_mass: float = 9.1093837015e-31
 
     def __post_init__(self):
-        for name in ("alpha", "c", "a0", "electron_mass"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"constant {name} must be positive")
+        for name in ("alpha", "c", "a0"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(f"constant {name} must be finite and positive")
 
 
 CONSTANTS = PhysicalConstants()
@@ -125,8 +126,7 @@ class Transition:
         return self.l_e + self.l_g
 
 
-def hydrogenic_cutoff(n_g: int, n_e: int, z: float,
-                      consts: PhysicalConstants = CONSTANTS) -> float:
+def hydrogenic_cutoff(n_g: int, n_e: int, z: float) -> float:
     """Non-relativistic cutoff frequency (1/n_g + 1/n_e) (c/a0) z, in rad/s.
 
     Symmetric in the two principal quantum numbers, so it also covers
@@ -138,12 +138,12 @@ def hydrogenic_cutoff(n_g: int, n_e: int, z: float,
         raise DomainError("principal quantum numbers must be >= 1")
     if z <= 0:
         raise DomainError("effective charge z must be positive")
-    return (1.0 / n_g + 1.0 / n_e) * (consts.c / consts.a0) * z
+    return (1.0 / n_g + 1.0 / n_e) * (CONSTANTS.c / CONSTANTS.a0) * z
 
 
-def cutoff_frequency(t: Transition, consts: PhysicalConstants = CONSTANTS) -> float:
+def cutoff_frequency(t: Transition) -> float:
     """Cutoff frequency omega_x of a transition, rad/s."""
-    return hydrogenic_cutoff(t.n_g, t.n_e, t.z, consts)
+    return hydrogenic_cutoff(t.n_g, t.n_e, t.z)
 
 
 def frequency_ratio(t: Transition, consts: PhysicalConstants = CONSTANTS) -> float:
@@ -290,7 +290,6 @@ class FullReservoir:
     def from_transition(cls, t: Transition,
                         terms: list[tuple[int, int, float]] | None = None,
                         omega_x: float | None = None,
-                        consts: PhysicalConstants = CONSTANTS,
                         degenerate_ok: bool = False) -> "FullReservoir":
         """Build from quantum numbers, enforcing the selection rules.
 
@@ -299,7 +298,7 @@ class FullReservoir:
         dimensionless value (e.g. omega_x/omega0) to work in scaled units.
         """
         if omega_x is None:
-            omega_x = cutoff_frequency(t, consts)
+            omega_x = cutoff_frequency(t)
         if terms is None:
             terms = [(t.j_min, 0, 1.0)]
         mu = mu_for(t)
@@ -381,7 +380,7 @@ def _term_amplitude(entry: dict, t: Transition, j: int) -> float:
     raise DomainError("each reservoir term needs a 'D' or 'd_reduced' amplitude")
 
 
-def load_reservoir_config(source, consts: PhysicalConstants = CONSTANTS):
+def load_reservoir_config(source):
     """Build a reservoir from a JSON config (path, file object, or dict).
 
     Expected keys: character, n_g, l_g, m_g, n_e, l_e, m_e, z and an
@@ -410,11 +409,11 @@ def load_reservoir_config(source, consts: PhysicalConstants = CONSTANTS):
     except KeyError as exc:
         raise DomainError(f"reservoir config is missing key {exc}") from None
 
-    x = 1.0 / frequency_ratio(t, consts)
+    x = 1.0 / frequency_ratio(t)
     raw_terms = cfg.get("terms")
     if not raw_terms:
         eta = eta_for(t.j_min, t.epsilon)
         return SimpleReservoir(d=1.0, eta=eta, mu=mu_for(t), omega_x=x), 1.0
     terms = [(int(e["J"]), int(e.get("r", 0)), _term_amplitude(e, t, int(e["J"])))
              for e in raw_terms]
-    return FullReservoir.from_transition(t, terms=terms, omega_x=x, consts=consts), 1.0
+    return FullReservoir.from_transition(t, terms=terms, omega_x=x), 1.0

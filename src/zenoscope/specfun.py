@@ -2,7 +2,7 @@
 
 Everything here is pure and stateless: the Euler Beta function evaluated
 in log space, a series-protected sinc^2, and Clebsch-Gordan coefficients
-via Racah's closed-form sum.  ``sinc_sq`` also accepts numpy arrays since
+via Racah's sum in exact integers.  ``sinc_sq`` also accepts numpy arrays since
 the quadrature engine evaluates it on large node batches.
 """
 
@@ -48,18 +48,6 @@ def sinc_sq(x):
     return float(out) if arr.ndim == 0 else out
 
 
-# log-factorials 0! .. 170!; all factorial arguments in Racah's sum for
-# the angular momenta handled here stay far below the table end.
-_MAX_FACT = 170
-_LOG_FACT = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, _MAX_FACT + 1)))))
-
-
-def _log_fact(n: int) -> float:
-    if n < 0 or n > _MAX_FACT:
-        raise DomainError(f"factorial argument out of table range: {n}")
-    return float(_LOG_FACT[n])
-
-
 def _as_twice(value: float, name: str) -> int:
     """Return round(2*value), rejecting non-half-integer input."""
     twice = 2.0 * value
@@ -73,10 +61,11 @@ def clebsch_gordan(j1: float, j2: float, m1: float, m2: float,
                    J: float, M: float) -> float:
     """Clebsch-Gordan coefficient <j1 j2 m1 m2 | J M> (Condon-Shortley phase).
 
-    Evaluated with Racah's explicit sum over log-factorials.  Returns 0.0
-    when M != m1 + m2 or J violates the triangle rule; raises DomainError
-    for arguments that are not consistent angular momenta (|m| > j,
-    j - m not an integer, negative j).
+    Racah's sum is evaluated in exact integers: the squared coefficient is
+    rational, so one square root of its correctly rounded value, signed by
+    the sum, is within 1 ulp.  Returns 0.0 when M != m1 + m2 or J violates
+    the triangle rule; raises DomainError for arguments that are not
+    consistent angular momenta (|m| > j, j - m not an integer, negative j).
     """
     tj1, tj2, tJ = _as_twice(j1, "j1"), _as_twice(j2, "j2"), _as_twice(J, "J")
     tm1, tm2, tM = _as_twice(m1, "m1"), _as_twice(m2, "m2"), _as_twice(M, "M")
@@ -96,30 +85,21 @@ def clebsch_gordan(j1: float, j2: float, m1: float, m2: float,
     if (tj1 + tj2 - tJ) % 2 != 0:
         return 0.0
 
-    # All factorial arguments below are guaranteed integral now.
-    def f(twice: int) -> float:
-        return _log_fact(twice // 2)
+    # imported here, so that only a config with d_reduced terms pays for it
+    from fractions import Fraction
 
-    log_prefactor = 0.5 * (
-        math.log(tJ + 1.0)
-        + f(tj1 + tj2 - tJ) + f(tj1 - tj2 + tJ) + f(-tj1 + tj2 + tJ)
-        - f(tj1 + tj2 + tJ + 2)
-        + f(tJ + tM) + f(tJ - tM)
-        + f(tj1 - tm1) + f(tj1 + tm1)
-        + f(tj2 - tm2) + f(tj2 + tm2)
-    )
+    # All factorial arguments below are guaranteed integral now.
+    def f(twice: int) -> int:
+        return math.factorial(twice // 2)
 
     k_min = max(0, (tj2 - tJ - tm1) // 2, (tj1 + tm2 - tJ) // 2)
     k_max = min((tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
-    total = 0.0
-    for k in range(k_min, k_max + 1):
-        log_den = (
-            _log_fact(k)
-            + f(tj1 + tj2 - tJ - 2 * k)
-            + f(tj1 - tm1 - 2 * k)
-            + f(tj2 + tm2 - 2 * k)
-            + f(tJ - tj2 + tm1 + 2 * k)
-            + f(tJ - tj1 - tm2 + 2 * k)
-        )
-        total += (-1.0) ** k * math.exp(log_prefactor - log_den)
-    return total
+    total = sum(Fraction((-1) ** k, math.factorial(k) * f(tj1 + tj2 - tJ - 2 * k)
+                         * f(tj1 - tm1 - 2 * k) * f(tj2 + tm2 - 2 * k)
+                         * f(tJ - tj2 + tm1 + 2 * k) * f(tJ - tj1 - tm2 + 2 * k))
+                for k in range(k_min, k_max + 1))
+    square = total * total * Fraction(
+        (tJ + 1) * f(tj1 + tj2 - tJ) * f(tj1 - tj2 + tJ) * f(-tj1 + tj2 + tJ)
+        * f(tJ + tM) * f(tJ - tM) * f(tj1 - tm1) * f(tj1 + tm1) * f(tj2 - tm2) * f(tj2 + tm2),
+        f(tj1 + tj2 + tJ + 2))
+    return math.sqrt(square) if total >= 0 else -math.sqrt(square)

@@ -277,6 +277,14 @@ def test_table1_alpha_override(capsys):
     assert float(row.split("\t")[3]) == pytest.approx(300.0, rel=1e-3)
 
 
+@pytest.mark.parametrize("alpha", ["0", "nan"])
+def test_table1_rejects_a_bad_alpha(capsys, alpha):
+    code, out, err = run_cli(capsys, "table1", "--alpha", alpha)
+    assert code == 2
+    assert out == ""
+    assert "alpha" in err
+
+
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------

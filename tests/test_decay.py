@@ -1,6 +1,7 @@
 """Quadrature and closed-form rate tests across the reference-transition regimes."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +16,15 @@ from zenoscope.decay import (
 from zenoscope.errors import DegenerateTransitionError, DomainError, NumericalError
 from zenoscope.oracle import BandLimitedReservoir
 from zenoscope.profile import MeasurementSchedule
-from zenoscope.reservoir import FullReservoir, SimpleReservoir, builtin_transition
+from zenoscope.reservoir import (
+    FullReservoir,
+    SimpleReservoir,
+    builtin_transition,
+    load_reservoir_config,
+)
 
 TWO_PI = 2.0 * math.pi
+DATA = Path(__file__).resolve().parent / "data"
 
 
 class _FlatWindow:
@@ -351,3 +358,37 @@ def test_quadrature_err_estimate_small_when_converged():
     res = modified_rate_quadrature(reservoir, omega0, MeasurementSchedule(nu=1e-3))
     assert res.converged
     assert res.err_estimate < 1e-6
+
+
+@pytest.mark.parametrize("eta,nu", [(3, 1e-2), (3, 3e-2), (1, 1e-2), (1, 3e-2)])
+def test_band_limited_quadrature_keeps_the_edge_lobe(eta, nu):
+    # the oracle's desk reservoir cut at its band edge, where R is still large
+    # for eta = 3; the reference is a 2e6-point midpoint sum over the band
+    r = SimpleReservoir(d=1.0, eta=eta, mu=6, omega_x=50.0)
+    hi = 1.0 + 1e3 * nu
+    res = modified_rate_quadrature(BandLimitedReservoir(r, (0.0, hi)), 1.0,
+                                   MeasurementSchedule(nu=nu))
+    h = hi / 2_000_000
+    omega = (np.arange(2_000_000) + 0.5) * h
+    kernel = (2.0 * np.sin(0.5 * (omega - 1.0) / nu) / ((omega - 1.0) / nu)) ** 2
+    ref = float(np.sum(kernel * r(omega))) * h / nu / (TWO_PI * r(1.0))
+    err = abs(res.ratio - ref) / ref
+    assert err <= 1e-5
+    assert err <= res.err_estimate
+
+
+TIGHT = QuadratureConfig(near_lobes=1024, nodes_per_lobe=41, rel_tol=1e-13,
+                         max_omega_factor=1000.0)
+
+
+@pytest.mark.parametrize("transition", ["2P-1S", "3D-1S", "4F-1S", "5D-1S"])
+def test_err_estimate_bounds_the_error(transition):
+    if transition == "5D-1S":
+        reservoir, omega0 = load_reservoir_config(DATA / "5D-1S.json")
+    else:
+        reservoir, omega0 = builtin_transition(transition)
+    for nu in (1e-7, 1e-4, 1e-2, 0.3):
+        m = MeasurementSchedule(nu=nu)
+        res = modified_rate_quadrature(reservoir, omega0, m)
+        tight = modified_rate_quadrature(reservoir, omega0, m, TIGHT).ratio
+        assert abs(res.ratio - tight) / tight <= res.err_estimate, nu

@@ -14,7 +14,7 @@ from zenoscope.experiment_ca import (
     ca_ratio_factor,
     required_measurement_rate,
 )
-from zenoscope.reservoir import CONSTANTS, PhysicalConstants, hydrogenic_cutoff
+from zenoscope.reservoir import hydrogenic_cutoff
 
 
 def test_ratio_factor_value():
@@ -23,9 +23,8 @@ def test_ratio_factor_value():
 
 def test_ratio_factor_charge_scaling():
     # the cutoff is linear in the effective charge, the factor quadratic
-    consts = CONSTANTS
-    base = ca_ratio_factor(consts)
-    halved = (hydrogenic_cutoff(CA_N_G, CA_N_E, CA_Z_EFF / 2, consts) / CA_OMEGA0) ** 2
+    base = ca_ratio_factor()
+    halved = (hydrogenic_cutoff(CA_N_G, CA_N_E, CA_Z_EFF / 2) / CA_OMEGA0) ** 2
     assert halved == pytest.approx(base / 4.0, rel=1e-12)
 
 
@@ -47,11 +46,10 @@ def test_required_rate_linearity():
 
 def test_required_rate_factorization_invariant():
     # nu * a / target is the same constant for every valid (target, a)
-    consts = PhysicalConstants()
-    ref = required_measurement_rate(0.01, 1.0, consts) * 1.0 / 0.01
+    ref = required_measurement_rate(0.01, 1.0) * 1.0 / 0.01
     for target in (0.001, 0.05, 0.5):
         for a in (0.1, 1.0, 25.0):
-            value = required_measurement_rate(target, a, consts) * a / target
+            value = required_measurement_rate(target, a) * a / target
             assert value == pytest.approx(ref, rel=1e-12)
 
 

@@ -12,11 +12,24 @@ desk-scale points of the oracle benchmark.  Their quadrature fields must
 match bit for bit; the oracle ratio, now computed by a different
 algorithm, to 1e-10.
 
+The quadrature of a band-limited reservoir now ends the far-field walk on
+the last lobe multiple below the band edge and integrates the partial lobe
+beyond it with the full sinc^2 kernel, instead of leaving that lobe's
+oscillating part to the error estimate.  So the ``band-limited`` case of
+``quadrature.json`` and, in both oracle files, ``ratio_quadrature`` and
+``rel_difference`` were re-recorded from that quadrature; every other
+field, the oracle ratios included, is as first recorded.
+
+``cli-json.txt`` was recorded before ``dumps_json`` became a flat writer
+over ``json.dumps``: ``python tests/test_golden.py cli-json``.
+
 To record a golden JSON file from a source tree, put that tree's ``src``
 first on ``PYTHONPATH`` and run ``python tests/test_golden.py quadrature``
 (or ``oracle_ed``, or ``oracle_rk4``).
 """
 
+import contextlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -47,6 +60,35 @@ CLI_CASES = {
 def test_cli_reproduces_golden_csv(capsys, name):
     assert main(list(CLI_CASES[name])) == 0
     assert capsys.readouterr().out == (DATA / "golden" / name).read_text()
+
+
+# The JSON documents of ``rate`` and ``ca``, and the ``table1`` TSV; a path
+# is relative to the repository root.
+CLI_JSON_REQUESTS = [
+    *(("rate", "--transition", t, "--nu", nu, "--method", method)
+      for t in ("2P-1S", "3D-1S", "4F-1S", "tests/data/5D-1S.json")
+      for nu in ("1e-6", "1e-3", "0.3") for method in ("quadrature", "analytic")),
+    ("table1",),
+    ("table1", "--alpha", "0.0073"),
+    ("ca",),
+    ("ca", "--precision", "0.05", "--prefactor-a", "0.0145"),
+]
+
+
+def _cli_json_transcript() -> str:
+    """Each request of CLI_JSON_REQUESTS, its stdout and its exit code."""
+    root = DATA.parent.parent
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for argv in CLI_JSON_REQUESTS:
+            print("$ zenoscope " + " ".join(argv))
+            code = main([str(root / a) if a.endswith(".json") else a for a in argv])
+            print(f"exit {code}")
+    return out.getvalue()
+
+
+def test_cli_reproduces_golden_json():
+    assert _cli_json_transcript() == (DATA / "golden" / "cli-json.txt").read_text()
 
 
 # One point per decade.  Above nu = 1 / (2 pi near_lobes) ~ 2.5e-3 the near
@@ -152,6 +194,9 @@ def test_oracle_rk4_reproduces_golden_values(index):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["cli-json"]:
+        sys.stdout.write(_cli_json_transcript())
+        sys.exit()
     if sys.argv[1:] and sys.argv[1] in ORACLE_CONFIGS:
         doc = [_record_oracle(sys.argv[1], eta, nu) for eta, nu in ORACLE_POINTS]
     else:

@@ -336,6 +336,18 @@ def test_exact_diagonalization_mode_limit():
         _arrowhead_eigensystem(DiscretizedModes(omega=omega, g=np.ones_like(omega)), 1.0)
 
 
+def test_mode_limits_fail_when_the_config_is_built():
+    # only configs are constructed: a rejected size is never allocated
+    OracleConfig(n_modes=20_000, method="exact_diagonalization")
+    OracleConfig(n_modes=1_000_000, method="rk4")
+    with pytest.raises(DomainError, match="20000"):
+        OracleConfig(n_modes=20_001, method="exact_diagonalization")
+    for method in ("rk4", "exact_diagonalization"):
+        for n_modes in (1_000_001, 10 ** 9):
+            with pytest.raises(DomainError):
+                OracleConfig(n_modes=n_modes, method=method)
+
+
 def _arrowheads(max_exponent):
     """Random (omega, g, omega0): poles on [0, 3] with frequent exact ties,
     couplings 0 or 10**e for e in [-8, max_exponent]."""

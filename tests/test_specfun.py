@@ -1,6 +1,7 @@
 """Special-function tests against stdlib and independent recursion oracles."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -207,3 +208,17 @@ def test_cg_orthogonality():
                                 for m1 in m1s for m2 in m2s)
                             want = 1.0 if (Ja == Jb and Ma == Mb) else 0.0
                             assert s == pytest.approx(want, abs=1e-10)
+
+
+def test_cg_stretched_states_match_the_binomial_form():
+    # <j1 m1 j2 m2 | j1+j2, m1+m2>^2 = C(2j1, j1+m1) C(2j2, j2+m2) / C(2J, J+M),
+    # exactly; a seeded sample over j1, j2 <= 25 must agree within 2 ulp
+    rng = random.Random(7)
+    for _ in range(10_000):
+        t1, t2 = rng.randint(0, 50), rng.randint(0, 50)
+        k1, k2 = rng.randint(0, t1), rng.randint(0, t2)
+        want = math.sqrt(Fraction(math.comb(t1, k1) * math.comb(t2, k2),
+                                  math.comb(t1 + t2, k1 + k2)))
+        j1, j2, m1, m2 = t1 / 2, t2 / 2, k1 - t1 / 2, k2 - t2 / 2
+        got = clebsch_gordan(j1, j2, m1, m2, j1 + j2, m1 + m2)
+        assert abs(got - want) <= 2 * math.ulp(want), (j1, j2, m1, m2)
