@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -38,6 +39,8 @@ from .reservoir import (
 SWEEP_HEADER = "nu_over_omega0,ratio_quadrature,ratio_analytic,rel_err,rwa_warning,status"
 FIGURE2_HEADER = "transition," + SWEEP_HEADER
 TABLE1_HEADER = "transition\teta\tmu\tomega_x_over_omega0"
+# nu_values() holds the grid as an array and as a list: about 40 MB at this cap
+_MAX_SWEEP_POINTS = 1_000_000
 
 
 def dumps_json(doc: dict) -> str:
@@ -80,8 +83,12 @@ class SweepSpec:
     def __post_init__(self):
         if not (self.nu_min > 0 and self.nu_min < self.nu_max):
             raise DomainError("sweep requires 0 < min < max")
+        if not math.isfinite(self.nu_max):
+            raise DomainError("sweep requires a finite max")
         if self.points < 2:
             raise DomainError("sweep requires at least 2 points")
+        if self.points > _MAX_SWEEP_POINTS:
+            raise DomainError(f"sweep allows at most {_MAX_SWEEP_POINTS} points")
         if self.spacing not in ("log", "linear"):
             raise DomainError("spacing must be 'log' or 'linear'")
         if self.methods not in ("both", "quadrature", "analytic"):

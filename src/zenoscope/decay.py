@@ -21,12 +21,19 @@ a hard truncation with a power-law remainder bound applies at
 ``max_omega_factor`` times the cutoff.
 
 Each point makes one reservoir call.  The Gauss-Legendre nodes are
-computed once per order, and the unclipped near-region nodes, weights and
-sinc^2(u/2) - the same in u for every nu - once per configuration; the
-far-field panels and the partial lobe at omega = 0 are gathered with them
-into a single array.  The sums run on the same numpy calls over the same
-contiguous lengths as a per-region evaluation would, so the results do
-not depend on how the nodes are gathered.
+computed once per order.  What is the same in u for every nu is built once
+per configuration: the unclipped near-region nodes, weights and
+sinc^2(u/2), and the far-field walk - every panel boundary it places, up
+to where the next would overflow, with the nodes and weights of its
+panels.  Only where the walk stops depends on nu, so a point takes a
+prefix of the walk and adds its cut panels: the last far-field panel on
+each side, the partial lobe at omega = 0 and the one at a band edge.  The
+side below resonance is the mirror image of the walk above, exactly,
+because the nodes are antisymmetric and the weights symmetric.  All parts
+are gathered into a single array for the reservoir call.  The sums run on
+the same numpy calls over the same contiguous lengths as a per-region
+evaluation would, so the results do not depend on how the nodes are
+gathered.
 
 The closed form (``analytic_rate``) is one Beta-function tail summed over
 the reservoir's ``term_powers()`` and normalised by its ``leading_term()``;
@@ -146,18 +153,58 @@ def _panel_nodes(edges: np.ndarray, n: int):
     return nodes.ravel(), weights.ravel()
 
 
-def _aligned_geometric(start: float, end: float, growth: float) -> np.ndarray:
-    """Panel boundaries from start to end, on lobe multiples except ``end``."""
+def _one_panel(a: float, b: float, n: int):
+    """GL nodes and weights of the single panel [a, b]."""
+    xi, wi = _gl_cache(n)
+    half = 0.5 * (b - a)
+    return 0.5 * (a + b) + half * xi, half * wi
+
+
+@functools.lru_cache(maxsize=8)
+def _lobe_edges(start: float) -> np.ndarray:
+    """Every far-field panel boundary the walk from ``start`` places, read-only.
+
+    Each boundary is the lobe multiple at or above the larger of 1.25 times
+    and one lobe beyond the last; the walk runs until the next boundary
+    would overflow, so it covers every finite end.
+    """
     out = [start]
-    cur = start
-    while cur < end:
-        nxt = _TWO_PI * math.ceil(max(cur * growth, cur + _TWO_PI) / _TWO_PI)
-        if nxt >= end:
-            out.append(end)
+    while True:
+        reach = max(out[-1] * _GROWTH, out[-1] + _TWO_PI) / _TWO_PI
+        nxt = _TWO_PI * math.ceil(reach) if reach < math.inf else math.inf
+        if nxt == math.inf:
             break
         out.append(nxt)
-        cur = nxt
-    return np.asarray(out)
+    edges = np.asarray(out)
+    edges.flags.writeable = False
+    return edges
+
+
+@functools.lru_cache(maxsize=64)
+def _lobe_nodes(start: float, n: int, panels: int):
+    """GL nodes and weights of the first ``panels`` panels of the walk, read-only."""
+    # panels past the walk a point asked for may overflow at the top of the float range
+    with np.errstate(over="ignore"):
+        u, w = _panel_nodes(_lobe_edges(start)[:panels + 1], n)
+    u.flags.writeable = False
+    w.flags.writeable = False
+    return u, w
+
+
+def _cut_walk(start: float, end: float, n: int):
+    """Walk boundaries from ``start`` cut at ``end`` > start, with their GL nodes.
+
+    The boundaries are the walk's below ``end``, then ``end``; the nodes and
+    weights are a prefix of the cached walk's plus the one cut panel.
+    """
+    edges = _lobe_edges(start)
+    k = int(edges.searchsorted(end))
+    # cache the next power of two >= k - 1 panels: few sizes, at most twice the need
+    u, w = _lobe_nodes(start, n, 1 << max(k - 2, 0).bit_length())
+    cut_u, cut_w = _one_panel(edges[k - 1], end, n)
+    m = (k - 1) * n
+    return (np.concatenate((edges[:k], (end,))), np.concatenate((u[:m], cut_u)),
+            np.concatenate((w[:m], cut_w)))
 
 
 def _near_edges(lo: float, hi: float) -> np.ndarray:
@@ -194,12 +241,16 @@ def _telescoped(dh: np.ndarray) -> float:
     return abs(dh[0]) + abs(dh[-1]) + float(np.abs(np.diff(dh)).sum())
 
 
-def _reservoir_values(reservoir, omega0: float, nu: float, parts: list) -> list:
+def _reservoir_values(reservoir, omega0: float, nu: float, parts: dict) -> dict:
     """R(max(omega0 + nu u, 0)) for each array u in ``parts``, in one call."""
-    omega = np.maximum(omega0 + nu * np.concatenate(parts), 0.0)
+    omega = np.maximum(omega0 + nu * np.concatenate(list(parts.values())), 0.0)
     # a callable may return one value for all frequencies, as a flat spectrum can
     values = np.broadcast_to(reservoir(omega), omega.shape)
-    return np.split(values, np.cumsum([u.size for u in parts])[:-1])
+    r, start = {}, 0
+    for key, u in parts.items():
+        r[key] = values[start:start + u.size]
+        start += u.size
+    return r
 
 
 def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
@@ -246,6 +297,9 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
 
     u_min = -omega0 / nu
     u_max = (omega_max - omega0) / nu
+    if not (math.isfinite(u_min) and math.isfinite(u_max)):
+        raise DomainError(f"measurement rate nu={nu!r} is too small: the integration "
+                          "range in units of nu overflows")
     if u_max <= u_min:
         raise DomainError("truncation frequency must exceed omega0")
     n = cfg.nodes_per_lobe
@@ -267,23 +321,26 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
     if u_min < -lobe_k:
         aligned_end = _TWO_PI * math.floor(-u_min / _TWO_PI)
         if aligned_end > lobe_k:
-            far["below"] = -_aligned_geometric(lobe_k, aligned_end, _GROWTH)[::-1]
+            # the mirror image of the walk above: leggauss nodes are antisymmetric
+            # and its weights symmetric, so this is exact
+            edges, u, w = _cut_walk(lobe_k, aligned_end, n)
+            far["below"] = -edges[::-1], -u[::-1], w[::-1].copy()
         if u_min < -aligned_end:
-            parts["tail"], weights["tail"] = _panel_nodes(np.array([u_min, -aligned_end]), n)
+            parts["tail"], weights["tail"] = _one_panel(u_min, -aligned_end, n)
     if u_max > lobe_k:
         # where R ends, the walk stops on a lobe multiple; the cut lobe is exact
         top = (max(lobe_k, _TWO_PI * math.floor(u_max / _TWO_PI)) if truncated_by_support
                else u_max)
         if top > lobe_k:
-            far["above"] = _aligned_geometric(lobe_k, top, _GROWTH)
+            far["above"] = _cut_walk(lobe_k, top, n)
         if top < u_max:
-            parts["edge"], weights["edge"] = _panel_nodes(np.array([top, u_max]), n)
-    for side, edges in far.items():
-        parts[side], weights[side] = _panel_nodes(edges, n)
+            parts["edge"], weights["edge"] = _one_panel(top, u_max, n)
+    for side, (edges, u, w) in far.items():
+        parts[side], weights[side] = u, w
         parts[side + "+"] = edges + 0.5
         parts[side + "-"] = edges - 0.5
 
-    r = dict(zip(parts, _reservoir_values(reservoir, omega0, nu, list(parts.values()))))
+    r = _reservoir_values(reservoir, omega0, nu, parts)
 
     def smooth(key):
         return 2.0 * r[key] / (parts[key] * parts[key])

@@ -109,8 +109,8 @@ class Transition:
                               "(n_e > n_g, or equal n with different l)")
         if abs(self.l_e - self.l_g) < 1:
             raise DomainError("radiative transition requires |l_e - l_g| >= 1")
-        if self.z <= 0:
-            raise DomainError("effective charge z must be positive")
+        if not 0.0 < self.z < math.inf:
+            raise DomainError(f"effective charge z must be finite and positive, got {self.z!r}")
 
     @property
     def epsilon(self) -> int:
@@ -136,8 +136,8 @@ def hydrogenic_cutoff(n_g: int, n_e: int, z: float) -> float:
     """
     if n_g < 1 or n_e < 1:
         raise DomainError("principal quantum numbers must be >= 1")
-    if z <= 0:
-        raise DomainError("effective charge z must be positive")
+    if not 0.0 < z < math.inf:
+        raise DomainError(f"effective charge z must be finite and positive, got {z!r}")
     return (1.0 / n_g + 1.0 / n_e) * (CONSTANTS.c / CONSTANTS.a0) * z
 
 
@@ -217,10 +217,10 @@ class SimpleReservoir:
             raise DomainError("eta must be an integer >= 1")
         if 2 * self.mu <= self.eta + 1:
             raise DomainError("integrability requires 2*mu > eta + 1")
-        if self.omega_x <= 0:
-            raise DomainError("omega_x must be positive")
-        if self.d <= 0:
-            raise DomainError("coupling amplitude d must be positive")
+        if not 0.0 < self.omega_x < math.inf:
+            raise DomainError("omega_x must be finite and positive")
+        if not 0.0 < self.d < math.inf:
+            raise DomainError("coupling amplitude d must be finite and positive")
 
     def eval(self, omega):
         """Coupling spectrum at omega (scalar or array), omega >= 0."""
@@ -266,8 +266,8 @@ class FullReservoir:
     def __post_init__(self):
         if self.epsilon not in (0, 1):
             raise DomainError("epsilon must be 0 or 1")
-        if self.omega_x <= 0:
-            raise DomainError("omega_x must be positive")
+        if not 0.0 < self.omega_x < math.inf:
+            raise DomainError("omega_x must be finite and positive")
         terms = tuple((int(j), int(r), float(d)) for j, r, d in self.terms)
         object.__setattr__(self, "terms", terms)
         if not terms:
@@ -280,6 +280,8 @@ class FullReservoir:
                 raise DomainError(f"term J={j} outside selection-rule range {self.j_range}")
             if r < 0:
                 raise DomainError("radial order r must be >= 0")
+            if not math.isfinite(d):
+                raise DomainError(f"term (J={j}, r={r}) amplitude D must be finite, got {d!r}")
             if 2 * self.mu <= eta_for(j, self.epsilon) + 2 * r + 1:
                 raise DomainError(f"term (J={j}, r={r}) is not integrable for mu={self.mu}")
         if not self.degenerate_ok and self.leading_term()[0] == 0.0:

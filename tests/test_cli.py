@@ -1,6 +1,7 @@
 """CLI contract tests: schemas, determinism, exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -222,6 +223,54 @@ def test_sweep_spec_validation():
         SweepSpec(transition="3D-1S", nu_min=1e-4, nu_max=1e-2, points=1)
     with pytest.raises(DomainError):
         SweepSpec(transition="3D-1S", nu_min=1e-4, nu_max=1e-2, spacing="cubic")
+    with pytest.raises(DomainError):
+        SweepSpec(transition="3D-1S", nu_min=1e-4, nu_max=math.inf)
+    # rejected before nu_values() could allocate the grid
+    SweepSpec(transition="3D-1S", nu_min=1e-4, nu_max=1e-2, points=1_000_000)
+    for points in (1_000_001, 10 ** 9):
+        with pytest.raises(DomainError, match="points"):
+            SweepSpec(transition="3D-1S", nu_min=1e-4, nu_max=1e-2, points=points)
+
+
+def test_sweep_rejects_an_infinite_bound(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--transition", "3D-1S",
+                             "--nu-min", "1e-4", "--nu-max", "inf", "--points", "3")
+    assert code == 2 and out == ""
+    assert "max" in err
+
+
+def test_nu_too_small_for_the_quadrature_is_a_domain_error(capsys):
+    code, out, err = run_cli(capsys, "rate", "--transition", "3D-1S", "--nu", "1e-310")
+    assert code == 2 and out == ""
+    assert "too small" in err
+    code, out, _ = run_cli(capsys, "sweep", "--transition", "3D-1S", "--nu-min", "1e-310",
+                           "--nu-max", "1e-309", "--points", "2", "--methods", "quadrature")
+    assert code == 0
+    assert out.splitlines()[1:] == ["1e-310,,,,,error:DomainError",
+                                    "1e-309,,,,,error:DomainError"]
+
+
+def _config_with(tmp_path, **changes):
+    cfg = {"character": "electric", "n_g": 1, "l_g": 0, "m_g": 0,
+           "n_e": 3, "l_e": 2, "m_e": 0, "z": 1.0, **changes}
+    path = tmp_path / "reservoir.json"
+    path.write_text(json.dumps(cfg))  # json writes NaN as a bare NaN, which it reads back
+    return str(path)
+
+
+def test_non_finite_config_values_are_domain_errors(capsys, tmp_path):
+    path = _config_with(tmp_path, z=math.nan)
+    code, out, err = run_cli(capsys, "rate", "--transition", path, "--nu", "1e-3")
+    assert code == 2 and out == ""
+    assert "charge z" in err
+    code, out, _ = run_cli(capsys, "sweep", "--transition", path, "--nu-min", "1e-4",
+                           "--nu-max", "1e-2", "--points", "3")
+    assert code == 2 and out == ""
+    path = _config_with(tmp_path, terms=[{"J": 2, "r": 0, "D": math.nan}])
+    code, out, err = run_cli(capsys, "rate", "--transition", path, "--nu", "1e-3",
+                             "--method", "analytic")
+    assert code == 2 and out == ""
+    assert "D must be finite" in err
 
 
 def test_sweep_invalid_range(capsys):

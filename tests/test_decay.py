@@ -9,6 +9,10 @@ import pytest
 from zenoscope.decay import (
     DecayResult,
     QuadratureConfig,
+    _cut_walk,
+    _gl_cache,
+    _lobe_edges,
+    _panel_nodes,
     analytic_rate,
     fgr_rate,
     modified_rate_quadrature,
@@ -292,6 +296,13 @@ def test_quadrature_rwa_flag():
     assert fast.rwa_warning and not slow.rwa_warning
 
 
+def test_quadrature_rejects_a_nu_that_overflows_the_range():
+    # -omega0/nu is -inf in double precision
+    reservoir, omega0 = builtin_transition("3D-1S")
+    with pytest.raises(DomainError, match="too small"):
+        modified_rate_quadrature(reservoir, omega0, MeasurementSchedule(nu=1e-310))
+
+
 def test_quadrature_large_nu_runs():
     # the full profile is integrated even outside the rotating-wave domain
     reservoir, omega0 = builtin_transition("3D-1S")
@@ -392,3 +403,61 @@ def test_err_estimate_bounds_the_error(transition):
         res = modified_rate_quadrature(reservoir, omega0, m)
         tight = modified_rate_quadrature(reservoir, omega0, m, TIGHT).ratio
         assert abs(res.ratio - tight) / tight <= res.err_estimate, nu
+
+
+# ---------------------------------------------------------------------------
+# the cached far-field walk
+# ---------------------------------------------------------------------------
+
+def _reference_walk(start: float, end: float, growth: float) -> np.ndarray:
+    """The far-field walk as a loop from start to end, one boundary at a time."""
+    out = [start]
+    cur = start
+    while cur < end:
+        nxt = TWO_PI * math.ceil(max(cur * growth, cur + TWO_PI) / TWO_PI)
+        if nxt >= end:
+            out.append(end)
+            break
+        out.append(nxt)
+        cur = nxt
+    return np.asarray(out)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("near_lobes", [1, 4, 64, 1024])
+def test_cached_walk_matches_the_loop_bit_for_bit(near_lobes):
+    start, n = TWO_PI * near_lobes, 15
+    walk = _lobe_edges(start)
+    last = len(walk) - 1
+    # every boundary up to 2^8 panels, each cache size 2^j and its neighbours,
+    # every 64th boundary and the last eight; all ~3,150 would run the loop
+    # about 2e7 times per start
+    picked = set(range(1, 257)) | set(range(257, last, 64)) | set(range(last - 7, last + 1))
+    picked |= {2 ** j + d for j in range(8, 12) for d in (-1, 0, 1, 2)} & set(range(1, last + 1))
+    ends = {1e307}
+    for i in picked:
+        b = float(walk[i])
+        ends |= {b, float(np.nextafter(b, 0.0)), walk[i - 1] + 0.5 * (b - walk[i - 1])}
+        if i < last:  # past the last boundary the loop's next step overflowed
+            ends.add(float(np.nextafter(b, math.inf)))
+    with np.errstate(over="ignore"):  # panel midpoints near the top of the float range
+        for end in sorted(ends):
+            ref = _reference_walk(start, end, 1.25)
+            edges, u, w = _cut_walk(start, end, n)
+            assert _same_bits(edges, ref), end
+            ref_u, ref_w = _panel_nodes(ref, n)
+            assert _same_bits(u, ref_u) and _same_bits(w, ref_w), end
+            # the side below resonance mirrors the walk above
+            ref_u, ref_w = _panel_nodes(-ref[::-1], n)
+            assert _same_bits(-u[::-1], ref_u) and _same_bits(w[::-1], ref_w), end
+
+
+@pytest.mark.parametrize("n", range(5, 42))
+def test_gl_nodes_are_antisymmetric_and_weights_symmetric(n):
+    xi, wi = _gl_cache(n)
+    assert np.array_equal(-xi[::-1], xi)  # equal values; the middle node's zero flips sign
+    assert _same_bits(wi[::-1], wi)

@@ -57,6 +57,8 @@ def test_constants_validation():
     dict(n_g=2, l_g=1, n_e=3, l_e=1),  # |l_e - l_g| = 0
     dict(z=0.0),
     dict(m_e=2),                      # |m| > l for l_e=1
+    dict(z=math.nan),
+    dict(z=math.inf),
 ])
 def test_transition_invalid(kwargs):
     with pytest.raises(DomainError):
@@ -90,6 +92,8 @@ def test_cutoff_domain():
         hydrogenic_cutoff(0, 2, 1.0)
     with pytest.raises(DomainError):
         hydrogenic_cutoff(1, 2, -1.0)
+    with pytest.raises(DomainError, match="z"):
+        hydrogenic_cutoff(1, 2, math.nan)
 
 
 def test_frequency_ratio_table():
@@ -161,6 +165,10 @@ def test_simple_reservoir_validation():
         SimpleReservoir(d=0.0, eta=1, mu=4, omega_x=10.0)
     with pytest.raises(DomainError):
         SimpleReservoir(d=1.0, eta=1, mu=4, omega_x=-1.0)
+    with pytest.raises(DomainError):
+        SimpleReservoir(d=math.nan, eta=1, mu=4, omega_x=10.0)
+    with pytest.raises(DomainError):
+        SimpleReservoir(d=1.0, eta=1, mu=4, omega_x=math.inf)
 
 
 def test_simple_reservoir_values():
@@ -255,6 +263,12 @@ def test_full_construction_errors():
     with pytest.raises(DomainError):  # missing leading term
         FullReservoir(terms=((3, 0, 1.0),), epsilon=0, mu=6, omega_x=1.0,
                       j_range=(2, 3))
+    with pytest.raises(DomainError):
+        FullReservoir(terms=((2, 0, 1.0),), epsilon=0, mu=6, omega_x=math.nan,
+                      j_range=(2, 3))
+    with pytest.raises(DomainError, match="D"):
+        FullReservoir(terms=((2, 0, 1.0), (3, 0, math.inf)), epsilon=0, mu=6,
+                      omega_x=1.0, j_range=(2, 3))
     # allowed when explicitly flagged degenerate
     r = FullReservoir(terms=((3, 0, 1.0),), epsilon=0, mu=6, omega_x=1.0,
                       j_range=(2, 3), degenerate_ok=True)
