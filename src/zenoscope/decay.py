@@ -22,15 +22,17 @@ a hard truncation with a power-law remainder bound applies at
 
 Each point makes one reservoir call.  The Gauss-Legendre nodes are
 computed once per order.  What is the same in u for every nu is built once
-per configuration: the unclipped near-region nodes, weights and
-sinc^2(u/2), and the far-field walk - every panel boundary it places, up
-to where the next would overflow, with the nodes and weights of its
-panels.  Only where the walk stops depends on nu, so a point takes a
-prefix of the walk and adds its cut panels: the last far-field panel on
-each side, the partial lobe at omega = 0 and the one at a band edge.  The
-side below resonance is the mirror image of the walk above, exactly,
-because the nodes are antisymmetric and the weights symmetric.  All parts
-are gathered into a single array for the reservoir call.  The sums run on
+per configuration: the near-region nodes, weights and sinc^2(u/2) of all
+``near_lobes`` whole lobes on each side, and the far-field walk - every
+panel boundary it places, up to where the next would overflow, with the
+nodes and weights of its panels.  Only where the near region is clipped
+and where the walk stops depend on nu, so every point takes its whole near
+lobes as a slice of the shared ones and a prefix of the walk, and builds
+only its cut panels: the near lobe cut at omega = 0 or at a band edge,
+the last far-field panel on each side, the partial lobe at omega = 0 and
+the one at a band edge.  The side below resonance is the mirror image of
+the walk above, exactly, because the nodes are antisymmetric and the
+weights symmetric.  All parts are gathered into a single array for the reservoir call.  The sums run on
 the same numpy calls over the same contiguous lengths as a per-region
 evaluation would, so the results do not depend on how the nodes are
 gathered.
@@ -207,29 +209,50 @@ def _cut_walk(start: float, end: float, n: int):
             np.concatenate((w[:m], cut_w)))
 
 
-def _near_edges(lo: float, hi: float) -> np.ndarray:
-    """Lobe boundaries of the near region [lo, hi]."""
-    k_lo = math.floor(lo / _TWO_PI)
-    k_hi = math.ceil(hi / _TWO_PI)
-    edges = np.clip(_TWO_PI * np.arange(k_lo, k_hi + 1), lo, hi)
-    # ascending, so dropping repeats needs no np.unique, whose first call
-    # imports numpy.ma (about 1.6 MB resident)
-    return edges[np.append(True, edges[1:] != edges[:-1])]
-
-
 @functools.lru_cache(maxsize=8)
 def _shared_near(near_lobes: int, n: int):
-    """Nodes, weights and sinc^2(u/2) of the unclipped near region, read-only.
+    """Nodes, weights and sinc^2(u/2) of the whole near region, read-only.
 
-    Every nu whose integration range covers all ``near_lobes`` lobes on both
-    sides of resonance integrates exactly these nodes.
+    These are the ``near_lobes`` whole lobes on each side of resonance;
+    every nu takes the whole lobes of its near region as a slice of them.
     """
-    lobe_k = _TWO_PI * near_lobes
-    u, weights = _panel_nodes(_near_edges(-lobe_k, lobe_k), n)
+    u, weights = _panel_nodes(_TWO_PI * np.arange(-near_lobes, near_lobes + 1), n)
     arrays = (u, weights, sinc_sq(0.5 * u))
     for a in arrays:
         a.flags.writeable = False
     return arrays
+
+
+def _cut_lobe(a: float, b: float, n: int):
+    """Nodes, weights and sinc^2(u/2) of the single panel [a, b]."""
+    u, w = _one_panel(a, b, n)
+    return u, w, sinc_sq(0.5 * u)
+
+
+def _near_region(lo: float, hi: float, near_lobes: int, n: int):
+    """Nodes, weights and sinc^2(u/2) of the near region [lo, hi].
+
+    ``-2 pi near_lobes <= lo < hi <= 2 pi near_lobes``.  The panels are
+    bounded by np.clip(2 pi k, lo, hi) for k from floor(lo / 2 pi) to
+    ceil(hi / 2 pi), repeats dropped.  The whole lobes, from the first
+    multiple of 2 pi at or above lo to the last at or below hi, are a slice
+    of ``_shared_near``; only the cut lobe at a clipped end is built.
+    """
+    k_lo = math.floor(lo / _TWO_PI)
+    k_hi = math.ceil(hi / _TWO_PI)
+    k_a = k_lo if _TWO_PI * k_lo >= lo else k_lo + 1
+    k_b = k_hi if _TWO_PI * k_hi <= hi else k_hi - 1
+    if k_a > k_b:  # no lobe boundary inside
+        return _cut_lobe(lo, hi, n)
+    pieces = [tuple(a[(k_a + near_lobes) * n:(k_b + near_lobes) * n]
+                    for a in _shared_near(near_lobes, n))]
+    if _TWO_PI * k_lo < lo < _TWO_PI * k_a:
+        pieces.insert(0, _cut_lobe(lo, _TWO_PI * k_a, n))
+    if _TWO_PI * k_b < hi < _TWO_PI * k_hi:
+        pieces.append(_cut_lobe(_TWO_PI * k_b, hi, n))
+    if len(pieces) == 1:
+        return pieces[0]
+    return tuple(np.concatenate(arrays) for arrays in zip(*pieces))
 
 
 def _telescoped(dh: np.ndarray) -> float:
@@ -238,14 +261,16 @@ def _telescoped(dh: np.ndarray) -> float:
     ``dh`` is the centered difference of the smooth part 2 R/u^2 at the
     panel boundaries; the cosine integrals telescope to these terms.
     """
-    return abs(dh[0]) + abs(dh[-1]) + float(np.abs(np.diff(dh)).sum())
+    return abs(dh[0]) + abs(dh[-1]) + float(np.abs(dh[1:] - dh[:-1]).sum())
 
 
 def _reservoir_values(reservoir, omega0: float, nu: float, parts: dict) -> dict:
     """R(max(omega0 + nu u, 0)) for each array u in ``parts``, in one call."""
     omega = np.maximum(omega0 + nu * np.concatenate(list(parts.values())), 0.0)
+    values = reservoir(omega)
     # a callable may return one value for all frequencies, as a flat spectrum can
-    values = np.broadcast_to(reservoir(omega), omega.shape)
+    if np.shape(values) != omega.shape:
+        values = np.broadcast_to(values, omega.shape)
     r, start = {}, 0
     for key, u in parts.items():
         r[key] = values[start:start + u.size]
@@ -310,11 +335,8 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
     # sinc^2(u/2) R.  Each far-field side takes the smooth part 2 R/u^2 at
     # its nodes and, for the error bound, half a unit either side of its
     # panel bounds; the partial lobe down to omega = 0 is exact again.
-    if u_min > -lobe_k or u_max < lobe_k:
-        near_u, near_w = _panel_nodes(_near_edges(max(u_min, -lobe_k), min(u_max, lobe_k)), n)
-        near_s = sinc_sq(0.5 * near_u)
-    else:
-        near_u, near_w, near_s = _shared_near(cfg.near_lobes, n)
+    near_u, near_w, near_s = _near_region(max(u_min, -lobe_k), min(u_max, lobe_k),
+                                          cfg.near_lobes, n)
     parts = {"near": near_u}
     weights = {}
     far = {}
@@ -341,9 +363,10 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
         parts[side + "-"] = edges - 0.5
 
     r = _reservoir_values(reservoir, omega0, nu, parts)
-
-    def smooth(key):
-        return 2.0 * r[key] / (parts[key] * parts[key])
+    # far out at tiny nu u^2 overflows, and 2 R/u^2 -> 0 is the right limit
+    with np.errstate(over="ignore"):
+        smooth = {key: 2.0 * r[key] / (parts[key] * parts[key])
+                  for side in far for key in (side, side + "+", side + "-")}
 
     gamma_near = float(np.dot(near_s * r["near"], near_w))
     err_abs = 0.0
@@ -351,8 +374,8 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
     # --- far region below resonance, then the final partial lobe -------------
     gamma_below = 0.0
     if "below" in far:
-        gamma_below += float(np.dot(smooth("below"), weights["below"]))
-        err_abs += _telescoped(smooth("below+") - smooth("below-"))
+        gamma_below += float(np.dot(smooth["below"], weights["below"]))
+        err_abs += _telescoped(smooth["below+"] - smooth["below-"])
     if "tail" in parts:
         gamma_below += float(np.dot(sinc_sq(0.5 * parts["tail"]) * r["tail"], weights["tail"]))
 
@@ -364,7 +387,7 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
     converged = True
     per_panel = np.empty(0)
     if "above" in far:
-        per_panel = (smooth("above") * weights["above"]).reshape(-1, n).sum(axis=1)
+        per_panel = (smooth["above"] * weights["above"]).reshape(-1, n).sum(axis=1)
     if "edge" in parts:
         per_panel = np.append(per_panel, np.dot(sinc_sq(0.5 * parts["edge"]) * r["edge"],
                                                 weights["edge"]))
@@ -382,7 +405,7 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
         if stop == len(per_panel) - 1 and remainder_bound >= cfg.rel_tol * (base + prefix[stop]):
             converged = False
         if "above" in far:
-            err_abs += _telescoped((smooth("above+") - smooth("above-"))[: stop + 2])
+            err_abs += _telescoped((smooth["above+"] - smooth["above-"])[: stop + 2])
     else:
         err_abs += beyond
 

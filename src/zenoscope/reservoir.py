@@ -11,7 +11,9 @@ the same metadata: ``mu``, ``omega_x``, ``term_powers()`` (the
 ``(amplitude, power)`` of every term), ``leading_term()`` (the term
 that normalises the closed-form ratio) and ``closed_form``, the method
 tag of their closed-form ratio.  Both evaluate through one kernel that
-sums ``term_powers()`` under a single shared rolloff.
+sums ``term_powers()`` under a single shared rolloff; a scalar frequency
+takes numpy-scalar arithmetic in the same term order as an array and
+returns a float, without building an array.
 
 Dimensionless convention: coupling amplitudes default to ``d = 1`` and the
 transition frequency to ``omega0 = 1`` (the modified/free rate ratio does
@@ -185,9 +187,18 @@ def nj_for(t: Transition, j: int) -> int:
 
 
 def _rolloff_sum(omega, term_powers, mu: int, omega_x: float):
-    """Sum of d omega_x x^p / (1 + x^2)^mu over ``(d, p)`` in order, x = omega/omega_x."""
-    w = np.asarray(omega, dtype=float)
-    if np.any(w < 0):
+    """Sum of d omega_x x^p / (1 + x^2)^mu over ``(d, p)`` in order, x = omega/omega_x.
+
+    A Python or numpy float (or int) takes numpy-scalar arithmetic and gives a
+    float; anything else goes through an array.
+    """
+    if isinstance(omega, (float, int)):
+        w = np.float64(omega)
+        negative = w < 0
+    else:
+        w = np.asarray(omega, dtype=float)
+        negative = (w < 0).any()
+    if negative:
         raise DomainError("reservoir evaluation requires omega >= 0")
     x = w / omega_x
     rolloff = (1.0 + x * x) ** mu

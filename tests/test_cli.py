@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,6 +252,19 @@ def test_nu_too_small_for_the_quadrature_is_a_domain_error(capsys):
     assert code == 0
     assert out.splitlines()[1:] == ["1e-310,,,,,error:DomainError",
                                     "1e-309,,,,,error:DomainError"]
+
+
+def test_tiny_nu_reports_its_rate_without_overflow_warnings():
+    # far out u^2 overflows; 2 R/u^2 -> 0 is the right limit and no cause for a warning
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-W", "default", "-m", "zenoscope.cli", "rate",
+                           "--transition", "2P-1S", "--nu", "1e-300"],
+                          capture_output=True, text=True, env=env, check=False)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == ('{"ratio": 1.0000000190925729, "gamma0": 6.2831016474143748, '
+                           '"method": "quadrature", "err_estimate": 4.013530781164095e-08, '
+                           '"rwa_warning": false, "converged": true}\n')
 
 
 def _config_with(tmp_path, **changes):

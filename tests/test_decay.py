@@ -12,7 +12,9 @@ from zenoscope.decay import (
     _cut_walk,
     _gl_cache,
     _lobe_edges,
+    _near_region,
     _panel_nodes,
+    _shared_near,
     analytic_rate,
     fgr_rate,
     modified_rate_quadrature,
@@ -20,6 +22,7 @@ from zenoscope.decay import (
 from zenoscope.errors import DegenerateTransitionError, DomainError, NumericalError
 from zenoscope.oracle import BandLimitedReservoir
 from zenoscope.profile import MeasurementSchedule
+from zenoscope.specfun import sinc_sq
 from zenoscope.reservoir import (
     FullReservoir,
     SimpleReservoir,
@@ -461,3 +464,56 @@ def test_gl_nodes_are_antisymmetric_and_weights_symmetric(n):
     xi, wi = _gl_cache(n)
     assert np.array_equal(-xi[::-1], xi)  # equal values; the middle node's zero flips sign
     assert _same_bits(wi[::-1], wi)
+
+
+# ---------------------------------------------------------------------------
+# the near region sliced from the shared nodes
+# ---------------------------------------------------------------------------
+
+def _reference_near_edges(lo: float, hi: float) -> np.ndarray:
+    """Lobe boundaries of the near region [lo, hi], each built in one array."""
+    k_lo = math.floor(lo / TWO_PI)
+    k_hi = math.ceil(hi / TWO_PI)
+    edges = np.clip(TWO_PI * np.arange(k_lo, k_hi + 1), lo, hi)
+    return edges[np.append(True, edges[1:] != edges[:-1])]
+
+
+def _near_cases(near_lobes: int):
+    """(lo, hi) pairs over lobe multiples, their neighbours and cut lobes."""
+    lobe_k = TWO_PI * near_lobes
+    ks = {0, 1, 2, near_lobes // 2, near_lobes - 1, near_lobes}
+    marks = set()
+    for k in ks | {-k for k in ks}:
+        b = TWO_PI * k
+        marks |= {b, float(np.nextafter(b, -math.inf)), float(np.nextafter(b, math.inf)),
+                  b + 0.5, b - 2.0}
+    marks = {x for x in marks if -lobe_k <= x <= lobe_k}
+    # the low side clipped only, the high side only, both sides, and neither
+    pairs = {(lo, hi) for lo in marks for hi in marks if lo < 0.0 < hi}
+    # ranges inside one lobe, and touching one boundary of it
+    for k in {0, 1, near_lobes - 1, -near_lobes}:
+        b = TWO_PI * k
+        pairs |= {(b + 0.5, b + 1.0), (b, b + 1.0), (b + 1.0, b + TWO_PI)}
+    # the measurement rate at which u_min = -1/nu reaches -lobe_k, and its neighbours
+    nu = 1.0 / lobe_k
+    for v in (float(np.nextafter(nu, 0.0)), nu, float(np.nextafter(nu, 1.0))):
+        pairs |= {(max(-1.0 / v, -lobe_k), lobe_k), (max(-1.0 / v, -lobe_k), 3.0)}
+    rng = np.random.default_rng(9)
+    pairs |= {(float(-rng.uniform(0, lobe_k)), float(rng.uniform(0, lobe_k)))
+              for _ in range(20)}
+    return sorted(pairs)
+
+
+@pytest.mark.parametrize("near_lobes, n", [(1, 15), (4, 7), (64, 15)])
+def test_sliced_near_region_matches_the_built_one_bit_for_bit(near_lobes, n):
+    for lo, hi in _near_cases(near_lobes):
+        u, w, s = _near_region(lo, hi, near_lobes, n)
+        ref_u, ref_w = _panel_nodes(_reference_near_edges(lo, hi), n)
+        assert _same_bits(u, ref_u), (lo, hi)
+        assert _same_bits(w, ref_w), (lo, hi)
+        assert _same_bits(s, sinc_sq(0.5 * ref_u)), (lo, hi)
+    # the whole near region is the shared arrays
+    lobe_k = TWO_PI * near_lobes
+    for got, shared in zip(_near_region(-lobe_k, lobe_k, near_lobes, n),
+                           _shared_near(near_lobes, n)):
+        assert _same_bits(got, shared)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from zenoscope.errors import DomainError
+from zenoscope.oracle import BandLimitedReservoir
 from zenoscope.reservoir import (
     BUILTIN_QUANTUM_NUMBERS,
     CONSTANTS,
@@ -213,6 +214,34 @@ def test_simple_reservoir_single_maximum():
 # ---------------------------------------------------------------------------
 # FullReservoir
 # ---------------------------------------------------------------------------
+
+_MULTI_TERM = FullReservoir(terms=((2, 0, 1.0), (2, 1, 0.5), (2, 2, 0.2), (2, 3, 0.05)),
+                            epsilon=0, mu=8, omega_x=137.0, j_range=(2, 2))
+
+
+@pytest.mark.parametrize("reservoir", [
+    SimpleReservoir(d=1.0, eta=3, mu=6, omega_x=411.1),
+    _MULTI_TERM,
+    BandLimitedReservoir(SimpleReservoir(d=1.0, eta=3, mu=6, omega_x=411.1), (0.0, 5.0)),
+], ids=["simple", "full", "band-limited"])
+def test_scalar_evaluation_is_the_array_value_as_a_float(reservoir):
+    for w in (0, 1e-300, 1.0, 3.7, 1e5, 1e200, 1e308):
+        # far out x^2 overflows, as numpy does on the array path too
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = reservoir(w)
+            ref = reservoir(np.asarray(w))
+        assert type(value) is float, w
+        assert np.float64(value).tobytes() == np.float64(ref).tobytes(), w
+        if w >= 1e200 and not isinstance(reservoir, BandLimitedReservoir):
+            assert math.isnan(value), w
+
+
+@pytest.mark.parametrize("reservoir", [SimpleReservoir(1.0, 3, 6, 411.1), _MULTI_TERM])
+@pytest.mark.parametrize("w", [-1e-300, -1.0, -1, np.float64(-2.0)])
+def test_negative_scalar_frequency_is_a_domain_error(reservoir, w):
+    with pytest.raises(DomainError):
+        reservoir(w)
+
 
 def test_full_reduces_to_simple():
     simple = SimpleReservoir(d=1.0, eta=3, mu=6, omega_x=411.1)
