@@ -30,12 +30,14 @@ and where the walk stops depend on nu, so every point takes its whole near
 lobes as a slice of the shared ones and a prefix of the walk, and builds
 only its cut panels: the near lobe cut at omega = 0 or at a band edge,
 the last far-field panel on each side, the partial lobe at omega = 0 and
-the one at a band edge.  The side below resonance is the mirror image of
-the walk above, exactly, because the nodes are antisymmetric and the
-weights symmetric.  All parts are gathered into a single array for the reservoir call.  The sums run on
-the same numpy calls over the same contiguous lengths as a per-region
-evaluation would, so the results do not depend on how the nodes are
-gathered.
+the one at a band edge.  The full kernel is carried by the near lobes and
+the partial lobes: the whole near lobes take their sinc^2(u/2) from
+``_shared_near`` and every cut lobe from ``_cut_lobe``.  The side below
+resonance is the mirror image of the walk above, exactly, because the
+nodes are antisymmetric and the weights symmetric.  All parts are gathered
+into a single array for the reservoir call.  The sums run on the same
+numpy calls over the same contiguous lengths as a per-region evaluation
+would, so the results do not depend on how the nodes are gathered.
 
 The closed form (``analytic_rate``) is one Beta-function tail summed over
 the reservoir's ``term_powers()`` and normalised by its ``leading_term()``;
@@ -224,7 +226,11 @@ def _shared_near(near_lobes: int, n: int):
 
 
 def _cut_lobe(a: float, b: float, n: int):
-    """Nodes, weights and sinc^2(u/2) of the single panel [a, b]."""
+    """Nodes, weights and sinc^2(u/2) of the single panel [a, b].
+
+    It builds every full-kernel lobe not sliced from ``_shared_near``: a near
+    lobe cut at a clipped end, and the partial lobes at omega = 0 and a band edge.
+    """
     u, w = _one_panel(a, b, n)
     return u, w, sinc_sq(0.5 * u)
 
@@ -334,12 +340,11 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
     # Near resonance every lobe is integrated exactly with the full kernel
     # sinc^2(u/2) R.  Each far-field side takes the smooth part 2 R/u^2 at
     # its nodes and, for the error bound, half a unit either side of its
-    # panel bounds; the partial lobe down to omega = 0 is exact again.
-    near_u, near_w, near_s = _near_region(max(u_min, -lobe_k), min(u_max, lobe_k),
-                                          cfg.near_lobes, n)
-    parts = {"near": near_u}
-    weights = {}
-    far = {}
+    # panel bounds; the partial lobes down to omega = 0 and up to a band
+    # edge are exact again.  ``kernel`` holds sinc^2(u/2) of those lobes.
+    parts, weights, kernel, far = {}, {}, {}, {}
+    parts["near"], weights["near"], kernel["near"] = _near_region(
+        max(u_min, -lobe_k), min(u_max, lobe_k), cfg.near_lobes, n)
     if u_min < -lobe_k:
         aligned_end = _TWO_PI * math.floor(-u_min / _TWO_PI)
         if aligned_end > lobe_k:
@@ -348,7 +353,7 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
             edges, u, w = _cut_walk(lobe_k, aligned_end, n)
             far["below"] = -edges[::-1], -u[::-1], w[::-1].copy()
         if u_min < -aligned_end:
-            parts["tail"], weights["tail"] = _one_panel(u_min, -aligned_end, n)
+            parts["tail"], weights["tail"], kernel["tail"] = _cut_lobe(u_min, -aligned_end, n)
     if u_max > lobe_k:
         # where R ends, the walk stops on a lobe multiple; the cut lobe is exact
         top = (max(lobe_k, _TWO_PI * math.floor(u_max / _TWO_PI)) if truncated_by_support
@@ -356,7 +361,7 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
         if top > lobe_k:
             far["above"] = _cut_walk(lobe_k, top, n)
         if top < u_max:
-            parts["edge"], weights["edge"] = _one_panel(top, u_max, n)
+            parts["edge"], weights["edge"], kernel["edge"] = _cut_lobe(top, u_max, n)
     for side, (edges, u, w) in far.items():
         parts[side], weights[side] = u, w
         parts[side + "+"] = edges + 0.5
@@ -368,7 +373,8 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
         smooth = {key: 2.0 * r[key] / (parts[key] * parts[key])
                   for side in far for key in (side, side + "+", side + "-")}
 
-    gamma_near = float(np.dot(near_s * r["near"], near_w))
+    lobes = {key: float(np.dot(s * r[key], weights[key])) for key, s in kernel.items()}
+    gamma_near = lobes["near"]
     err_abs = 0.0
 
     # --- far region below resonance, then the final partial lobe -------------
@@ -376,8 +382,8 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
     if "below" in far:
         gamma_below += float(np.dot(smooth["below"], weights["below"]))
         err_abs += _telescoped(smooth["below+"] - smooth["below-"])
-    if "tail" in parts:
-        gamma_below += float(np.dot(sinc_sq(0.5 * parts["tail"]) * r["tail"], weights["tail"]))
+    if "tail" in lobes:
+        gamma_below += lobes["tail"]
 
     # --- far region above resonance, then the partial lobe at the band edge:
     # stop at the first panel that is small and leaves a small remainder bound
@@ -388,9 +394,8 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
     per_panel = np.empty(0)
     if "above" in far:
         per_panel = (smooth["above"] * weights["above"]).reshape(-1, n).sum(axis=1)
-    if "edge" in parts:
-        per_panel = np.append(per_panel, np.dot(sinc_sq(0.5 * parts["edge"]) * r["edge"],
-                                                weights["edge"]))
+    if "edge" in lobes:
+        per_panel = np.append(per_panel, lobes["edge"])
     if per_panel.size:
         prefix = np.cumsum(per_panel)
         suffix = prefix[-1] - prefix

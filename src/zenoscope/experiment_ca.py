@@ -48,8 +48,8 @@ class IonEstimate:
 
     def __post_init__(self):
         for name in ("omega0", "omega_x", "ratio_sq", "prefactor_a", "required_nu"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite and positive")
 
 
 def ca_ratio_factor() -> float:
@@ -66,8 +66,8 @@ def required_measurement_rate(target_reduction: float, a: float) -> float:
     """
     if not 0.0 < target_reduction < 1.0:
         raise DomainError("target_reduction must be in (0, 1)")
-    if a <= 0:
-        raise DomainError("prefactor a must be positive")
+    if not 0.0 < a < math.inf:
+        raise DomainError("prefactor a must be finite and positive")
     return target_reduction * CA_OMEGA0 / (a * ca_ratio_factor())
 
 

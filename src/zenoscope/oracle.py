@@ -95,10 +95,10 @@ class OracleConfig:
             lo, hi = self.band
             if not (lo >= 0.0 and hi > lo):
                 raise DomainError("band must satisfy 0 <= omega_lo < omega_hi")
-        if self.dt is not None and self.dt <= 0:
-            raise DomainError("dt must be positive")
-        if self.coupling_scale is not None and self.coupling_scale <= 0:
-            raise DomainError("coupling_scale must be positive")
+        for name in ("dt", "coupling_scale"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise DomainError(f"{name} must be finite and positive, got {value!r}")
 
 
 class DiscretizedModes(NamedTuple):

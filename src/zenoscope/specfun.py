@@ -1,9 +1,8 @@
 """Scalar special functions used by the reservoir and rate formulas.
 
-Everything here is pure and stateless: the Euler Beta function evaluated
-in log space, a series-protected sinc^2, and Clebsch-Gordan coefficients
-via Racah's sum in exact integers.  ``sinc_sq`` also accepts numpy arrays since
-the quadrature engine evaluates it on large node batches.
+Everything here is pure and stateless: the Euler Beta function in log
+space, sinc^2 by one formula, and Clebsch-Gordan coefficients by Racah's
+sum in exact integers; ``sinc_sq`` also takes the quadrature's node arrays.
 """
 
 from __future__ import annotations
@@ -28,23 +27,14 @@ def beta(a: float, b: float) -> float:
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
-_SINC_SWITCH = 1e-4
-
-
 def sinc_sq(x):
-    """(sin x / x)^2 with the removable singularity handled.
+    """(sin x / x)^2, and 1 at x = 0; scalars or numpy arrays.
 
-    For |x| < 1e-4 the three-term Taylor series 1 - x^2/3 + 2x^4/45 is used;
-    at the switchover the two branches agree to better than 1e-15.
-    Accepts scalars or numpy arrays.
+    One formula for every x: below |x| = 1e-4 it stays within a few ulp of
+    the Taylor series 1 - x^2/3 + 2x^4/45, down to the smallest subnormal.
     """
     arr = np.asarray(x, dtype=float)
-    small = np.abs(arr) < _SINC_SWITCH
-    x2 = arr * arr
-    series = 1.0 - x2 / 3.0 + (2.0 / 45.0) * x2 * x2
-    safe = np.where(small, 1.0, arr)
-    direct = np.square(np.sin(arr) / safe)
-    out = np.where(small, series, direct)
+    out = np.square(np.divide(np.sin(arr), arr, out=np.ones_like(arr), where=arr != 0.0))
     return float(out) if arr.ndim == 0 else out
 
 

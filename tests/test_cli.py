@@ -387,6 +387,14 @@ def test_ca_prefactor_flag(capsys):
     assert nu2 == pytest.approx(nu1 / 10.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_ca_rejects_a_non_finite_prefactor(capsys, value):
+    # a usage error that names the flag; a NaN required_nu would not be JSON
+    code, out, err = run_cli(capsys, "ca", "--prefactor-a", value)
+    assert code == 2 and out == ""
+    assert "prefactor a must be finite and positive" in err
+
+
 def test_build_parser_returns_a_fresh_parser():
     parser = cli.build_parser()
     parser.add_argument("--extra")

@@ -10,6 +10,7 @@ from zenoscope.experiment_ca import (
     CA_N_G,
     CA_OMEGA0,
     CA_Z_EFF,
+    IonEstimate,
     ca_estimate,
     ca_ratio_factor,
     required_measurement_rate,
@@ -75,3 +76,15 @@ def test_domain_errors():
         required_measurement_rate(1.5, 1.0)
     with pytest.raises(DomainError):
         required_measurement_rate(0.01, -2.0)
+    for a in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="prefactor a must be finite"):
+            required_measurement_rate(0.01, a)
+
+
+def test_estimate_fields_must_be_finite():
+    fields = dict(omega0=1.0, omega_x=2.0, ratio_sq=4.0, prefactor_a=1.0, required_nu=1.0)
+    IonEstimate(**fields)
+    for name in fields:
+        for bad in (math.nan, math.inf, 0.0):
+            with pytest.raises(DomainError, match=name):
+                IonEstimate(**{**fields, name: bad})

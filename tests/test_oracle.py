@@ -56,6 +56,14 @@ def test_oracle_config_validation():
         OracleConfig(coupling_scale=0.0)
 
 
+@pytest.mark.parametrize("field", ["dt", "coupling_scale"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_oracle_config_rejects_non_finite_steps_and_scales(field, value):
+    # rejected when the config is built, before RK4 or the coupling fit runs
+    with pytest.raises(DomainError, match=field):
+        OracleConfig(**{field: value})
+
+
 def test_discretize_flat_equal_couplings():
     cfg = OracleConfig(n_modes=1000, band=(0.0, 2.0))
     modes = discretize_reservoir(_flat(0.5), cfg)

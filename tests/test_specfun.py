@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from zenoscope.decay import _shared_near
 from zenoscope.errors import DomainError
 from zenoscope.specfun import beta, clebsch_gordan, sinc_sq
 
@@ -81,13 +82,24 @@ def test_sinc_sq_even_and_bounded():
     assert np.all(vals[xs != 0] < 1.0)
 
 
-def test_sinc_sq_branch_agreement():
-    # series and direct evaluation agree at the switchover
-    for x in (1e-4, -1e-4, 0.99e-4, 1.01e-4):
-        series = 1 - x**2 / 3 + 2 * x**4 / 45
-        direct = (math.sin(x) / x) ** 2
-        assert sinc_sq(x) == pytest.approx(series, rel=1e-12)
-        assert sinc_sq(x) == pytest.approx(direct, rel=1e-12)
+def test_sinc_sq_is_one_formula():
+    # |x| >= 1e-4: the bits of (sin x / x)^2, on a grid and on every node
+    # the quadrature evaluates in its shared near region
+    grid = np.concatenate((np.geomspace(1e-4, 1e4, 2001), np.linspace(-60.0, 60.0, 4001)))
+    near = [0.5 * _shared_near(lobes, n)[0] for lobes, n in ((64, 15), (1024, 41))]
+    for x in (grid[np.abs(grid) >= 1e-4], *near):
+        assert np.abs(x).min() >= 1e-4
+        assert np.array_equal(sinc_sq(x), np.square(np.sin(x) / x))
+    # 0 < |x| < 1e-4: within 4 ulp of the Taylor series, for both signs
+    tiny = np.geomspace(1e-300, 1e-4, 3001, endpoint=False)
+    for x in (tiny, -tiny):
+        x2 = x * x
+        series = 1.0 - x2 / 3.0 + (2.0 / 45.0) * x2 * x2
+        assert np.all(np.abs(sinc_sq(x) - series) <= 4 * np.spacing(series))
+    # exactly 1 at +-0, and a Python float for a scalar
+    for x in (0.0, -0.0):
+        assert sinc_sq(x) == 1.0 and type(sinc_sq(x)) is float
+    assert type(sinc_sq(1e-5)) is float and type(sinc_sq(np.float64(2.0))) is float
 
 
 def test_sinc_sq_array_matches_scalar():
