@@ -25,19 +25,23 @@ computed once per order.  What is the same in u for every nu is built once
 per configuration: the near-region nodes, weights and sinc^2(u/2) of all
 ``near_lobes`` whole lobes on each side, and the far-field walk - every
 panel boundary it places, up to where the next would overflow, with the
-nodes and weights of its panels.  Only where the near region is clipped
-and where the walk stops depend on nu, so every point takes its whole near
-lobes as a slice of the shared ones and a prefix of the walk, and builds
-only its cut panels: the near lobe cut at omega = 0 or at a band edge,
-the last far-field panel on each side, the partial lobe at omega = 0 and
-the one at a band edge.  The full kernel is carried by the near lobes and
-the partial lobes: the whole near lobes take their sinc^2(u/2) from
-``_shared_near`` and every cut lobe from ``_cut_lobe``.  The side below
-resonance is the mirror image of the walk above, exactly, because the
-nodes are antisymmetric and the weights symmetric.  All parts are gathered
-into a single array for the reservoir call.  The sums run on the same
-numpy calls over the same contiguous lengths as a per-region evaluation
-would, so the results do not depend on how the nodes are gathered.
+nodes and weights of its panels, their mirror image below resonance, and
+the boundaries shifted by +1/2 and -1/2 on both sides.  The mirror image
+is exact, because the nodes are antisymmetric and the weights symmetric.
+Only where the near region is clipped and where the walk stops depend on
+nu, so every point takes its whole near lobes as a slice of the shared
+ones and each walk as a slice of the cached one, and builds only its cut
+panels: the near lobe cut at omega = 0 or at a band edge, the last
+far-field panel on each side, the partial lobe at omega = 0 and the one
+at a band edge.  A point gathers its nodes in three blocks: the
+full-kernel block (the near lobes and the partial lobes, with sinc^2(u/2)
+from ``_shared_near`` or ``_cut_lobe``), the far-field nodes below and
+above resonance, and the shifted boundaries.  sinc^2(u/2) R runs once over
+the first block and 2 R/u^2 once over the other two; each part then
+reduces over its own contiguous slice with the same numpy call over the
+same length as a per-region evaluation would, so the results do not
+depend on how the nodes are gathered.  The stopping rule scans the panel
+sums in Python floats, which add as np.cumsum does.
 
 The closed form (``analytic_rate``) is one Beta-function tail summed over
 the reservoir's ``term_powers()`` and normalised by its ``leading_term()``;
@@ -48,6 +52,7 @@ reservoir's ``closed_form``; a reservoir without one has no closed form.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -195,20 +200,62 @@ def _lobe_nodes(start: float, n: int, panels: int):
     return u, w
 
 
-def _cut_walk(start: float, end: float, n: int):
-    """Walk boundaries from ``start`` cut at ``end`` > start, with their GL nodes.
+@functools.lru_cache(maxsize=64)
+def _mirrored_lobe_nodes(start: float, n: int, panels: int):
+    """The nodes and weights of ``_lobe_nodes`` mirrored below resonance, read-only.
 
-    The boundaries are the walk's below ``end``, then ``end``; the nodes and
-    weights are a prefix of the cached walk's plus the one cut panel.
+    They are -u[::-1] and w[::-1]: the GL nodes and weights of the mirrored
+    panels, exactly, because leggauss nodes are antisymmetric and its
+    weights symmetric.
+    """
+    u, w = _lobe_nodes(start, n, panels)
+    arrays = (-u[::-1], w[::-1].copy())
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=8)
+def _shifted_edges(start: float):
+    """The walk's boundaries shifted by +1/2 and -1/2, then mirrored and shifted, read-only.
+
+    Returns ``(edges + 0.5, edges - 0.5, -edges[::-1] + 0.5, -edges[::-1] - 0.5)``
+    for ``edges = _lobe_edges(start)``.
+    """
+    edges = _lobe_edges(start)
+    mirrored = -edges[::-1]
+    arrays = (edges + 0.5, edges - 0.5, mirrored + 0.5, mirrored - 0.5)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _cut_walk(start: float, end: float, n: int, mirrored: bool = False):
+    """The walk from ``start`` cut at ``end`` > start, as pieces in increasing u.
+
+    Returns lists of the pieces of its nodes, of its weights, and of its
+    boundaries shifted by +1/2 and by -1/2.  The boundaries are the walk's
+    below ``end``, then ``end``; the nodes and weights are a prefix of the
+    cached walk's plus the one cut panel.  ``mirrored`` gives the walk from
+    -end to -start instead, from the mirrored caches.
     """
     edges = _lobe_edges(start)
     k = int(edges.searchsorted(end))
     # cache the next power of two >= k - 1 panels: few sizes, at most twice the need
-    u, w = _lobe_nodes(start, n, 1 << max(k - 2, 0).bit_length())
-    cut_u, cut_w = _one_panel(edges[k - 1], end, n)
+    panels = 1 << max(k - 2, 0).bit_length()
     m = (k - 1) * n
-    return (np.concatenate((edges[:k], (end,))), np.concatenate((u[:m], cut_u)),
-            np.concatenate((w[:m], cut_w)))
+    plus, minus, mirrored_plus, mirrored_minus = _shifted_edges(start)
+    if not mirrored:
+        u, w = _lobe_nodes(start, n, panels)
+        cut_u, cut_w = _one_panel(edges[k - 1], end, n)
+        return ([u[:m], cut_u], [w[:m], cut_w], [plus[:k], (end + 0.5,)],
+                [minus[:k], (end - 0.5,)])
+    u, w = _mirrored_lobe_nodes(start, n, panels)
+    # the cut panel built on its mirrored bounds has the bits of the mirrored cut panel
+    cut_u, cut_w = _one_panel(-end, -edges[k - 1], n)
+    first, skip = u.size - m, edges.size - k
+    return ([cut_u, u[first:]], [cut_w, w[first:]], [(-end + 0.5,), mirrored_plus[skip:]],
+            [(-end - 0.5,), mirrored_minus[skip:]])
 
 
 @functools.lru_cache(maxsize=8)
@@ -236,29 +283,28 @@ def _cut_lobe(a: float, b: float, n: int):
 
 
 def _near_region(lo: float, hi: float, near_lobes: int, n: int):
-    """Nodes, weights and sinc^2(u/2) of the near region [lo, hi].
+    """Nodes, weights and sinc^2(u/2) of the near region [lo, hi], as a list of pieces.
 
     ``-2 pi near_lobes <= lo < hi <= 2 pi near_lobes``.  The panels are
     bounded by np.clip(2 pi k, lo, hi) for k from floor(lo / 2 pi) to
     ceil(hi / 2 pi), repeats dropped.  The whole lobes, from the first
     multiple of 2 pi at or above lo to the last at or below hi, are a slice
-    of ``_shared_near``; only the cut lobe at a clipped end is built.
+    of ``_shared_near``; only the cut lobe at a clipped end is built.  Each
+    piece is a ``(u, weights, sinc^2(u/2))`` triple, in increasing u.
     """
     k_lo = math.floor(lo / _TWO_PI)
     k_hi = math.ceil(hi / _TWO_PI)
     k_a = k_lo if _TWO_PI * k_lo >= lo else k_lo + 1
     k_b = k_hi if _TWO_PI * k_hi <= hi else k_hi - 1
     if k_a > k_b:  # no lobe boundary inside
-        return _cut_lobe(lo, hi, n)
+        return [_cut_lobe(lo, hi, n)]
     pieces = [tuple(a[(k_a + near_lobes) * n:(k_b + near_lobes) * n]
                     for a in _shared_near(near_lobes, n))]
     if _TWO_PI * k_lo < lo < _TWO_PI * k_a:
         pieces.insert(0, _cut_lobe(lo, _TWO_PI * k_a, n))
     if _TWO_PI * k_b < hi < _TWO_PI * k_hi:
         pieces.append(_cut_lobe(_TWO_PI * k_b, hi, n))
-    if len(pieces) == 1:
-        return pieces[0]
-    return tuple(np.concatenate(arrays) for arrays in zip(*pieces))
+    return pieces
 
 
 def _telescoped(dh: np.ndarray) -> float:
@@ -268,20 +314,6 @@ def _telescoped(dh: np.ndarray) -> float:
     panel boundaries; the cosine integrals telescope to these terms.
     """
     return abs(dh[0]) + abs(dh[-1]) + float(np.abs(dh[1:] - dh[:-1]).sum())
-
-
-def _reservoir_values(reservoir, omega0: float, nu: float, parts: dict) -> dict:
-    """R(max(omega0 + nu u, 0)) for each array u in ``parts``, in one call."""
-    omega = np.maximum(omega0 + nu * np.concatenate(list(parts.values())), 0.0)
-    values = reservoir(omega)
-    # a callable may return one value for all frequencies, as a flat spectrum can
-    if np.shape(values) != omega.shape:
-        values = np.broadcast_to(values, omega.shape)
-    r, start = {}, 0
-    for key, u in parts.items():
-        r[key] = values[start:start + u.size]
-        start += u.size
-    return r
 
 
 def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
@@ -338,52 +370,64 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
 
     # --- panels in u -------------------------------------------------------
     # Near resonance every lobe is integrated exactly with the full kernel
-    # sinc^2(u/2) R.  Each far-field side takes the smooth part 2 R/u^2 at
-    # its nodes and, for the error bound, half a unit either side of its
-    # panel bounds; the partial lobes down to omega = 0 and up to a band
-    # edge are exact again.  ``kernel`` holds sinc^2(u/2) of those lobes.
-    parts, weights, kernel, far = {}, {}, {}, {}
-    parts["near"], weights["near"], kernel["near"] = _near_region(
-        max(u_min, -lobe_k), min(u_max, lobe_k), cfg.near_lobes, n)
+    # sinc^2(u/2) R, and so are the partial lobes down to omega = 0 (``tail``)
+    # and up to a band edge (``edge``).  Each far-field walk takes the smooth
+    # part 2 R/u^2 at its nodes and, for the error bound, half a unit either
+    # side of its panel bounds.
+    full = _near_region(max(u_min, -lobe_k), min(u_max, lobe_k), cfg.near_lobes, n)
+    tail = edge = below = above = None
     if u_min < -lobe_k:
         aligned_end = _TWO_PI * math.floor(-u_min / _TWO_PI)
         if aligned_end > lobe_k:
-            # the mirror image of the walk above: leggauss nodes are antisymmetric
-            # and its weights symmetric, so this is exact
-            edges, u, w = _cut_walk(lobe_k, aligned_end, n)
-            far["below"] = -edges[::-1], -u[::-1], w[::-1].copy()
+            below = _cut_walk(lobe_k, aligned_end, n, mirrored=True)
         if u_min < -aligned_end:
-            parts["tail"], weights["tail"], kernel["tail"] = _cut_lobe(u_min, -aligned_end, n)
+            tail = _cut_lobe(u_min, -aligned_end, n)
     if u_max > lobe_k:
         # where R ends, the walk stops on a lobe multiple; the cut lobe is exact
         top = (max(lobe_k, _TWO_PI * math.floor(u_max / _TWO_PI)) if truncated_by_support
                else u_max)
         if top > lobe_k:
-            far["above"] = _cut_walk(lobe_k, top, n)
+            above = _cut_walk(lobe_k, top, n)
         if top < u_max:
-            parts["edge"], weights["edge"], kernel["edge"] = _cut_lobe(top, u_max, n)
-    for side, (edges, u, w) in far.items():
-        parts[side], weights[side] = u, w
-        parts[side + "+"] = edges + 0.5
-        parts[side + "-"] = edges - 0.5
+            edge = _cut_lobe(top, u_max, n)
+    n_near = sum(piece[0].size for piece in full)
+    full += [lobe for lobe in (tail, edge) if lobe is not None]
+    n_full = n_near + n * ((tail is not None) + (edge is not None))
+    walk_u, walk_w, plus, minus = ([a for walk in (below, above) if walk for a in walk[i]]
+                                   for i in range(4))
+    n_below = sum(a.size for a in below[0]) if below else 0
+    bounds_below = n_below // n + 1 if below else 0
 
-    r = _reservoir_values(reservoir, omega0, nu, parts)
+    # --- one reservoir call over three blocks: the full-kernel nodes (near,
+    # tail, edge), the far-field nodes (below, above) and the shifted panel
+    # bounds (every +1/2 one, then every -1/2 one); each part then reduces
+    # over its own contiguous slice with the same numpy call as on its own
+    u = np.concatenate([piece[0] for piece in full] + walk_u + plus + minus)
+    w = np.concatenate([piece[1] for piece in full] + walk_w)
+    omega = np.maximum(omega0 + nu * u, 0.0)
+    r = reservoir(omega)
+    # a callable may return one value for all frequencies, as a flat spectrum can
+    if np.shape(r) != omega.shape:
+        r = np.broadcast_to(r, omega.shape)
+    kr = np.concatenate([piece[2] for piece in full]) * r[:n_full]
+    far_u, far_w = u[n_full:], w[n_full:]
     # far out at tiny nu u^2 overflows, and 2 R/u^2 -> 0 is the right limit
     with np.errstate(over="ignore"):
-        smooth = {key: 2.0 * r[key] / (parts[key] * parts[key])
-                  for side in far for key in (side, side + "+", side + "-")}
+        smooth = 2.0 * r[n_full:] / (far_u * far_u)
+    n_far = far_w.size
+    bounds = (smooth.size - n_far) // 2
+    dh = smooth[n_far:n_far + bounds] - smooth[n_far + bounds:]
 
-    lobes = {key: float(np.dot(s * r[key], weights[key])) for key, s in kernel.items()}
-    gamma_near = lobes["near"]
+    gamma_near = float(np.dot(kr[:n_near], w[:n_near]))
     err_abs = 0.0
 
     # --- far region below resonance, then the final partial lobe -------------
     gamma_below = 0.0
-    if "below" in far:
-        gamma_below += float(np.dot(smooth["below"], weights["below"]))
-        err_abs += _telescoped(smooth["below+"] - smooth["below-"])
-    if "tail" in lobes:
-        gamma_below += lobes["tail"]
+    if below is not None:
+        gamma_below += float(np.dot(smooth[:n_below], far_w[:n_below]))
+        err_abs += _telescoped(dh[:bounds_below])
+    if tail is not None:
+        gamma_below += float(np.dot(kr[n_near:n_near + n], w[n_near:n_near + n]))
 
     # --- far region above resonance, then the partial lobe at the band edge:
     # stop at the first panel that is small and leaves a small remainder bound
@@ -391,26 +435,28 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
         terms, mu, omega_x, omega0, nu, omega_max)
     gamma_above = 0.0
     converged = True
-    per_panel = np.empty(0)
-    if "above" in far:
-        per_panel = (smooth["above"] * weights["above"]).reshape(-1, n).sum(axis=1)
-    if "edge" in lobes:
-        per_panel = np.append(per_panel, lobes["edge"])
-    if per_panel.size:
-        prefix = np.cumsum(per_panel)
-        suffix = prefix[-1] - prefix
+    panels = []
+    if above is not None:
+        panels = (smooth[n_below:n_far] * far_w[n_below:]).reshape(-1, n).sum(axis=1).tolist()
+    if edge is not None:
+        panels.append(float(np.dot(kr[n_full - n:], w[n_full - n:n_full])))
+    if panels:
+        # sequential sums, as np.cumsum adds
+        prefix = list(itertools.accumulate(panels))
         base = gamma_near + gamma_below
-        running = base + prefix
-        small = ((per_panel < cfg.rel_tol * running)
-                 & (2.0 * suffix + beyond < cfg.rel_tol * running))
-        stop = int(np.argmax(small)) if small.any() else len(per_panel) - 1
-        gamma_above = float(prefix[stop])
-        remainder_bound = 2.0 * float(suffix[stop]) + beyond
+        stop = len(panels) - 1
+        for i, (panel, summed) in enumerate(zip(panels, prefix)):
+            threshold = cfg.rel_tol * (base + summed)
+            if panel < threshold and 2.0 * (prefix[-1] - summed) + beyond < threshold:
+                stop = i
+                break
+        gamma_above = prefix[stop]
+        remainder_bound = 2.0 * (prefix[-1] - gamma_above) + beyond
         err_abs += remainder_bound
-        if stop == len(per_panel) - 1 and remainder_bound >= cfg.rel_tol * (base + prefix[stop]):
+        if stop == len(panels) - 1 and remainder_bound >= cfg.rel_tol * (base + gamma_above):
             converged = False
-        if "above" in far:
-            err_abs += _telescoped((smooth["above+"] - smooth["above-"])[: stop + 2])
+        if above is not None:
+            err_abs += _telescoped(dh[bounds_below:bounds_below + stop + 2])
     else:
         err_abs += beyond
 
@@ -447,6 +493,20 @@ def _beyond_truncation_bound(terms, mu, omega_x, omega0: float, nu: float,
     return bound
 
 
+@functools.lru_cache(maxsize=64)
+def _tail_sum(term_powers: tuple, d_lead: float, mu) -> float:
+    """Sum over the terms (D, p) with p > 3/2 of (D/D_lead) B(mu - (p-1)/2, (p-1)/2).
+
+    It does not depend on nu, so it is computed once per reservoir.
+    """
+    total = 0.0
+    for d, power in term_powers:
+        if power <= 1.5:  # step-function gate: no tail below quadratic growth
+            continue
+        total += (d / d_lead) * beta(0.5 * (1 - power) + mu, -0.5 * (1 - power))
+    return total
+
+
 def _tail_excess(reservoir, x: float, y: float) -> float:
     """Measurement-induced excess of Gamma/Gamma0, in units of the free rate.
 
@@ -462,11 +522,7 @@ def _tail_excess(reservoir, x: float, y: float) -> float:
             "free rate cannot normalize the closed-form ratio; this degenerate "
             "case has no defined closed form here and is rejected rather than "
             "silently renormalized")
-    total = 0.0
-    for d, power in reservoir.term_powers():
-        if power <= 1.5:  # step-function gate: no tail below quadratic growth
-            continue
-        total += (d / d_lead) * beta(0.5 * (1 - power) + reservoir.mu, -0.5 * (1 - power))
+    total = _tail_sum(reservoir.term_powers(), d_lead, reservoir.mu)
     return y * x ** (eta_lead - 1) * total / _TWO_PI
 
 

@@ -375,6 +375,25 @@ def builtin_transition(name: str) -> tuple[SimpleReservoir, float]:
                            omega_x=_BUILTIN_OMEGA_X[name]), 1.0
 
 
+def _field(where: str, entry: dict, key: str, kind=None, default=None):
+    """``kind(entry[key])``, or ``entry[key]`` without ``kind``.
+
+    An absent key gives ``default``, or without one a DomainError naming the
+    key; so does a value that ``kind`` rejects.
+    """
+    if key not in entry:
+        if default is None:
+            raise DomainError(f"{where} is missing key {key!r}")
+        return default
+    if kind is None:
+        return entry[key]
+    try:
+        return kind(entry[key])
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{where} key {key!r} must be a finite number, "
+                          f"got {entry[key]!r}") from None
+
+
 def _term_amplitude(entry: dict, t: Transition, j: int) -> float:
     """Coupling amplitude of one config term.
 
@@ -384,12 +403,12 @@ def _term_amplitude(entry: dict, t: Transition, j: int) -> float:
     magnetic number M is fixed to m_e - m_g by the selection rules).
     """
     if "D" in entry:
-        return float(entry["D"])
+        return _field("reservoir term", entry, "D", float)
     if "d_reduced" in entry:
         from .specfun import clebsch_gordan
 
         factor = clebsch_gordan(t.l_g, j, t.m_g, t.m_e - t.m_g, t.l_e, t.m_e)
-        return float(entry["d_reduced"]) * factor ** 2
+        return _field("reservoir term", entry, "d_reduced", float) * factor ** 2
     raise DomainError("each reservoir term needs a 'D' or 'd_reduced' amplitude")
 
 
@@ -402,31 +421,43 @@ def load_reservoir_config(source):
     Without ``terms``, the simplified single-term reservoir with D = 1 is
     built from the quantum numbers.  Returns ``(reservoir, omega0)`` in
     dimensionless mode (omega0 = 1, omega_x = cutoff/transition frequency
-    ratio).
+    ratio).  A file that cannot be read or is not JSON, and a config that
+    is not an object, lacks a key or holds a value of the wrong type, are
+    DomainErrors.
     """
     if isinstance(source, dict):
         cfg = source
-    elif hasattr(source, "read"):
-        cfg = json.load(source)
     else:
-        with open(source, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        name = getattr(source, "name", source)
+        try:
+            if hasattr(source, "read"):
+                cfg = json.load(source)
+            else:
+                with open(source, "r", encoding="utf-8") as fh:
+                    cfg = json.load(fh)
+        except OSError as exc:
+            raise DomainError(f"cannot read reservoir config {name}: {exc.strerror}") from None
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise DomainError(f"reservoir config {name} is not JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise DomainError(f"reservoir config must be a JSON object, not {type(cfg).__name__}")
 
-    try:
-        t = Transition(
-            character=cfg["character"],
-            n_g=int(cfg["n_g"]), l_g=int(cfg["l_g"]), m_g=int(cfg["m_g"]),
-            n_e=int(cfg["n_e"]), l_e=int(cfg["l_e"]), m_e=int(cfg["m_e"]),
-            z=float(cfg.get("z", 1.0)),
-        )
-    except KeyError as exc:
-        raise DomainError(f"reservoir config is missing key {exc}") from None
+    where = "reservoir config"
+    t = Transition(
+        _field(where, cfg, "character"),
+        *(_field(where, cfg, key, int) for key in ("n_g", "l_g", "m_g", "n_e", "l_e", "m_e")),
+        z=_field(where, cfg, "z", float, 1.0),
+    )
 
     x = 1.0 / frequency_ratio(t)
     raw_terms = cfg.get("terms")
     if not raw_terms:
         eta = eta_for(t.j_min, t.epsilon)
         return SimpleReservoir(d=1.0, eta=eta, mu=mu_for(t), omega_x=x), 1.0
-    terms = [(int(e["J"]), int(e.get("r", 0)), _term_amplitude(e, t, int(e["J"])))
-             for e in raw_terms]
+    if not (isinstance(raw_terms, list) and all(isinstance(e, dict) for e in raw_terms)):
+        raise DomainError("reservoir config key 'terms' must be a list of objects")
+    terms = []
+    for e in raw_terms:
+        j = _field("reservoir term", e, "J", int)
+        terms.append((j, _field("reservoir term", e, "r", int, 0), _term_amplitude(e, t, j)))
     return FullReservoir.from_transition(t, terms=terms, omega_x=x), 1.0

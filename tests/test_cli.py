@@ -290,6 +290,27 @@ def test_non_finite_config_values_are_domain_errors(capsys, tmp_path):
     assert "D must be finite" in err
 
 
+_GOOD_CONFIG = ('{"character": "electric", "n_g": 1, "l_g": 0, "m_g": 0, '
+                '"n_e": 3, "l_e": 2, "m_e": 0')
+
+
+@pytest.mark.parametrize("text, named", [
+    (_GOOD_CONFIG + ', "terms": [{"r": 0, "D": 1.0}]}', "'J'"),
+    (_GOOD_CONFIG.replace('"n_g": 1', '"n_g": "one"') + "}", "'n_g'"),
+    ("[" + _GOOD_CONFIG + "}]", "JSON object"),
+    ("character = electric\n", "reservoir.json is not JSON"),
+], ids=["term-without-J", "non-integer-n_g", "top-level-list", "not-json"])
+def test_malformed_config_is_a_domain_error(capsys, tmp_path, text, named):
+    path = tmp_path / "reservoir.json"
+    path.write_text(text)
+    for argv in (("rate", "--transition", str(path), "--nu", "1e-3"),
+                 ("sweep", "--transition", str(path), "--nu-min", "1e-4", "--nu-max", "1e-2",
+                  "--points", "3")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and named in err, err
+
+
 def test_sweep_invalid_range(capsys):
     code, _, err = run_cli(capsys, "sweep", "--transition", "3D-1S",
                            "--nu-min", "1e-2", "--nu-max", "1e-3",

@@ -12,9 +12,13 @@ from zenoscope.decay import (
     _cut_walk,
     _gl_cache,
     _lobe_edges,
+    _lobe_nodes,
+    _mirrored_lobe_nodes,
     _near_region,
     _panel_nodes,
     _shared_near,
+    _shifted_edges,
+    _tail_sum,
     analytic_rate,
     fgr_rate,
     modified_rate_quadrature,
@@ -22,7 +26,7 @@ from zenoscope.decay import (
 from zenoscope.errors import DegenerateTransitionError, DomainError, NumericalError
 from zenoscope.oracle import BandLimitedReservoir
 from zenoscope.profile import MeasurementSchedule
-from zenoscope.specfun import sinc_sq
+from zenoscope.specfun import beta, sinc_sq
 from zenoscope.reservoir import (
     FullReservoir,
     SimpleReservoir,
@@ -201,8 +205,25 @@ def test_analytic_full_two_terms_vs_quadrature():
 def test_analytic_full_degenerate_error():
     r = FullReservoir(terms=((3, 0, 1.0),), epsilon=0, mu=6, omega_x=400.0,
                       j_range=(2, 3), degenerate_ok=True)
-    with pytest.raises(DegenerateTransitionError):
-        _analytic(r, 1e-3)
+    # on every call, not only the first
+    for _ in range(3):
+        with pytest.raises(DegenerateTransitionError):
+            _analytic(r, 1e-3)
+
+
+def test_cached_tail_sum_gives_the_bits_of_the_sum_per_call():
+    r, omega0 = load_reservoir_config(DATA / "5D-1S.json")
+    d_lead, eta_lead = r.leading_term()
+    total = 0.0
+    for d, power in r.term_powers():
+        if power > 1.5:
+            total += (d / d_lead) * beta(0.5 * (1 - power) + r.mu, -0.5 * (1 - power))
+    _tail_sum.cache_clear()
+    for nu in (1e-6, 1e-3, 0.3):
+        tail = (nu / omega0) * (r.omega_x / omega0) ** (eta_lead - 1) * total / TWO_PI
+        assert _analytic(r, nu).ratio == 1.0 + tail
+    info = _tail_sum.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -450,13 +471,34 @@ def test_cached_walk_matches_the_loop_bit_for_bit(near_lobes):
     with np.errstate(over="ignore"):  # panel midpoints near the top of the float range
         for end in sorted(ends):
             ref = _reference_walk(start, end, 1.25)
-            edges, u, w = _cut_walk(start, end, n)
-            assert _same_bits(edges, ref), end
-            ref_u, ref_w = _panel_nodes(ref, n)
-            assert _same_bits(u, ref_u) and _same_bits(w, ref_w), end
-            # the side below resonance mirrors the walk above
-            ref_u, ref_w = _panel_nodes(-ref[::-1], n)
-            assert _same_bits(-u[::-1], ref_u) and _same_bits(w[::-1], ref_w), end
+            # the boundaries below end are a prefix of the cached walk
+            assert _same_bits(walk[:ref.size - 1], ref[:-1]), end
+            for mirrored, bounds in ((False, ref), (True, -ref[::-1])):
+                u, w, plus, minus = (np.concatenate(pieces)
+                                     for pieces in _cut_walk(start, end, n, mirrored))
+                ref_u, ref_w = _panel_nodes(bounds, n)
+                assert _same_bits(u, ref_u) and _same_bits(w, ref_w), (end, mirrored)
+                assert _same_bits(plus, bounds + 0.5), (end, mirrored)
+                assert _same_bits(minus, bounds - 0.5), (end, mirrored)
+
+
+@pytest.mark.parametrize("near_lobes, n", [(1, 15), (4, 7), (64, 15), (1024, 41)])
+def test_mirrored_and_shifted_caches_are_read_only_and_exact(near_lobes, n):
+    start = TWO_PI * near_lobes
+    edges = _lobe_edges(start)
+    shifted = _shifted_edges(start)
+    for got, want in zip(shifted, (edges + 0.5, edges - 0.5,
+                                   -edges[::-1] + 0.5, -edges[::-1] - 0.5)):
+        assert _same_bits(got, want)
+    with np.errstate(over="ignore"):
+        for panels in (1, 2, 64, 1024):
+            u, w = _lobe_nodes(start, n, panels)
+            mirrored_u, mirrored_w = _mirrored_lobe_nodes(start, n, panels)
+            assert _same_bits(mirrored_u, -u[::-1]) and _same_bits(mirrored_w, w[::-1])
+            for a in (u, w, mirrored_u, mirrored_w):
+                assert not a.flags.writeable
+    for a in (edges, *shifted, *_shared_near(near_lobes, n), *_gl_cache(n)):
+        assert not a.flags.writeable
 
 
 @pytest.mark.parametrize("n", range(5, 42))
@@ -507,13 +549,13 @@ def _near_cases(near_lobes: int):
 @pytest.mark.parametrize("near_lobes, n", [(1, 15), (4, 7), (64, 15)])
 def test_sliced_near_region_matches_the_built_one_bit_for_bit(near_lobes, n):
     for lo, hi in _near_cases(near_lobes):
-        u, w, s = _near_region(lo, hi, near_lobes, n)
+        u, w, s = (np.concatenate(a) for a in zip(*_near_region(lo, hi, near_lobes, n)))
         ref_u, ref_w = _panel_nodes(_reference_near_edges(lo, hi), n)
         assert _same_bits(u, ref_u), (lo, hi)
         assert _same_bits(w, ref_w), (lo, hi)
         assert _same_bits(s, sinc_sq(0.5 * ref_u)), (lo, hi)
     # the whole near region is the shared arrays
     lobe_k = TWO_PI * near_lobes
-    for got, shared in zip(_near_region(-lobe_k, lobe_k, near_lobes, n),
-                           _shared_near(near_lobes, n)):
+    (whole,) = _near_region(-lobe_k, lobe_k, near_lobes, n)
+    for got, shared in zip(whole, _shared_near(near_lobes, n)):
         assert _same_bits(got, shared)

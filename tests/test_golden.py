@@ -23,14 +23,19 @@ field, the oracle ratios included, is as first recorded.
 ``cli-json.txt`` was recorded before ``dumps_json`` became a flat writer
 over ``json.dumps``: ``python tests/test_golden.py cli-json``.
 
+``quadrature-grid.json`` was recorded before each quadrature point was
+gathered in one block of nodes per kernel: ``python tests/test_golden.py
+quadrature-grid``.
+
 To record a golden JSON file from a source tree, put that tree's ``src``
 first on ``PYTHONPATH`` and run ``python tests/test_golden.py quadrature``
-(or ``oracle_ed``, or ``oracle_rk4``).
+(or ``quadrature-grid``, ``oracle_ed`` or ``oracle_rk4``).
 """
 
 import contextlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -42,7 +47,8 @@ from zenoscope.decay import QuadratureConfig, modified_rate_quadrature
 from zenoscope.errors import ZenoscopeError
 from zenoscope.oracle import BandLimitedReservoir, OracleConfig, oracle_vs_quadrature
 from zenoscope.profile import MeasurementSchedule
-from zenoscope.reservoir import FullReservoir, SimpleReservoir, builtin_transition
+from zenoscope.reservoir import (FullReservoir, SimpleReservoir, builtin_transition,
+                                 load_reservoir_config)
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -153,6 +159,86 @@ def test_quadrature_reproduces_golden_values_exactly(name):
     assert _record(name) == want
 
 
+# ``quadrature-grid.json`` pins every branch of the quadrature's assembly,
+# bit for bit: the near region clipped on either side, the walk below with
+# and without the partial lobe at omega = 0, the band-edge lobe, and
+# nu >= omega0.  ``ratio`` and ``err_estimate`` are stored as ``float.hex``.
+GRID_RESERVOIRS = {
+    **{name: _builtin(name) for name in ("2P-1S", "3D-1S", "4F-1S")},
+    "5D-1S": lambda: (*load_reservoir_config(DATA / "5D-1S.json"), None),
+    "3D-1S-band-0-5": lambda: (BandLimitedReservoir(builtin_transition("3D-1S")[0],
+                                                    (0.0, 5.0)), 1.0, None),
+    "3D-1S-band-0.5-1.7": lambda: (BandLimitedReservoir(builtin_transition("3D-1S")[0],
+                                                        (0.5, 1.7)), 1.0, None),
+}
+GRID_CONFIGS = {"default": QuadratureConfig(),
+                "small": QuadratureConfig(near_lobes=4, nodes_per_lobe=7)}
+TWO_PI = 2.0 * math.pi
+
+
+def _on_lobe_multiple(span: float, k: int) -> float:
+    """A nu for which span / nu is exactly the lobe multiple 2 pi k', k' >= k."""
+    for k_hit in range(k, k + 64):
+        guess = span / (TWO_PI * k_hit)
+        for nu in (_ulps(guess, s) for d in range(9) for s in (d, -d)):
+            x = span / nu
+            if x == TWO_PI * math.floor(x / TWO_PI):
+                return nu
+    raise AssertionError(f"no nu puts {span!r} on a lobe multiple from k={k}")
+
+
+def _ulps(nu: float, steps: int) -> float:
+    """nu moved by ``steps`` floats, up for steps > 0 and down for steps < 0."""
+    for _ in range(abs(steps)):
+        nu = math.nextafter(nu, math.inf if steps > 0 else 0.0)
+    return nu
+
+
+def _neighbours(nu: float) -> list[float]:
+    return [_ulps(nu, -1), nu, _ulps(nu, 1)]
+
+
+def _grid_nus(reservoir, omega0: float, cfg: QuadratureConfig) -> list[float]:
+    """About 40 nu: a log grid and the values at which a branch switches."""
+    lobe_k = TWO_PI * cfg.near_lobes
+    omega_x = getattr(reservoir, "omega_x", None)
+    omega_max = cfg.max_omega_factor * (omega_x or omega0)
+    omega_max = min(omega_max, getattr(reservoir, "omega_support_end", math.inf))
+    below, above = omega0, omega_max - omega0
+    nus = [float(nu) for nu in np.geomspace(1e-9, 3.0, 24)] + [1.0]
+    # the near region clipped at omega = 0 and at the truncation
+    nus += _neighbours(below / lobe_k) + _neighbours(above / lobe_k)
+    # a partial lobe at omega = 0 and no walk below, and the same at the top
+    nus += [below / (lobe_k + 0.5 * TWO_PI), above / (lobe_k + 0.5 * TWO_PI)]
+    # the walk below ending on omega = 0 exactly, with no partial lobe, and the
+    # walk above ending on the band edge exactly, with no edge lobe
+    for k in (cfg.near_lobes + 3, 50 * cfg.near_lobes, 10 ** 6):
+        nus += [_on_lobe_multiple(below, k), _on_lobe_multiple(above, k)]
+    return nus
+
+
+def _record_grid(name: str, config: str) -> list:
+    reservoir, omega0, _ = GRID_RESERVOIRS[name]()
+    cfg = GRID_CONFIGS[config]
+    out = []
+    for nu in _grid_nus(reservoir, omega0, cfg):
+        try:
+            res = modified_rate_quadrature(reservoir, omega0, MeasurementSchedule(nu=nu), cfg)
+        except ZenoscopeError as exc:
+            out.append({"nu": nu.hex(), "error": type(exc).__name__})
+            continue
+        out.append({"nu": nu.hex(), "ratio": res.ratio.hex(),
+                    "err_estimate": res.err_estimate.hex(), "converged": res.converged})
+    return out
+
+
+@pytest.mark.parametrize("config", sorted(GRID_CONFIGS))
+@pytest.mark.parametrize("name", sorted(GRID_RESERVOIRS))
+def test_quadrature_reproduces_the_golden_grid_exactly(name, config):
+    want = json.loads((DATA / "golden" / "quadrature-grid.json").read_text())
+    assert _record_grid(name, config) == want[f"{name}/{config}"]
+
+
 # The oracle benchmark's points: desk-scale reservoir, ED at 2000 modes and
 # RK4 at 10^4 modes.
 ORACLE_POINTS = [(eta, nu) for eta in (1, 3) for nu in (1e-2, 3e-2)]
@@ -197,7 +283,10 @@ if __name__ == "__main__":
     if sys.argv[1:] == ["cli-json"]:
         sys.stdout.write(_cli_json_transcript())
         sys.exit()
-    if sys.argv[1:] and sys.argv[1] in ORACLE_CONFIGS:
+    if sys.argv[1:] == ["quadrature-grid"]:
+        doc = {f"{name}/{config}": _record_grid(name, config)
+               for name in GRID_RESERVOIRS for config in GRID_CONFIGS}
+    elif sys.argv[1:] and sys.argv[1] in ORACLE_CONFIGS:
         doc = [_record_oracle(sys.argv[1], eta, nu) for eta, nu in ORACLE_POINTS]
     else:
         doc = {name: _record(name) for name in QUADRATURE_CASES}
