@@ -20,28 +20,28 @@ and the inverse-square envelope bound on the remainder is equally small;
 a hard truncation with a power-law remainder bound applies at
 ``max_omega_factor`` times the cutoff.
 
-Each point makes one reservoir call.  The Gauss-Legendre nodes are
-computed once per order.  What is the same in u for every nu is built once
-per configuration: the near-region nodes, weights and sinc^2(u/2) of all
-``near_lobes`` whole lobes on each side, and the far-field walk - every
-panel boundary it places, up to where the next would overflow, with the
-nodes and weights of its panels, their mirror image below resonance, and
-the boundaries shifted by +1/2 and -1/2 on both sides.  The mirror image
-is exact, because the nodes are antisymmetric and the weights symmetric.
-Only where the near region is clipped and where the walk stops depend on
-nu, so every point takes its whole near lobes as a slice of the shared
-ones and each walk as a slice of the cached one, and builds only its cut
-panels: the near lobe cut at omega = 0 or at a band edge, the last
-far-field panel on each side, the partial lobe at omega = 0 and the one
-at a band edge.  A point gathers its nodes in three blocks: the
-full-kernel block (the near lobes and the partial lobes, with sinc^2(u/2)
-from ``_shared_near`` or ``_cut_lobe``), the far-field nodes below and
-above resonance, and the shifted boundaries.  sinc^2(u/2) R runs once over
-the first block and 2 R/u^2 once over the other two; each part then
-reduces over its own contiguous slice with the same numpy call over the
-same length as a per-region evaluation would, so the results do not
-depend on how the nodes are gathered.  The stopping rule scans the panel
-sums in Python floats, which add as np.cumsum does.
+Each point makes one reservoir call.  The geometry is built for one side
+of resonance, from u = 0 outwards, and the side below is its mirror image:
+the same pieces, each reversed and with u negated.  The mirror is exact,
+because the Gauss-Legendre nodes are antisymmetric, their weights
+symmetric and sinc^2 even.  What is the same in u for every nu is built
+once per configuration: the side's panel bounds - its ``near_lobes`` lobe
+multiples, then every boundary of the far-field walk up to where the next
+would overflow - and those bounds shifted by +1/2 and -1/2, and the nodes
+and weights of its panels with sinc^2(u/2) at the near-lobe nodes.  Only
+where each side is cut depends on nu, so a point takes its whole lobes and
+panels as slices of the cached ones and builds only its cut panels: the
+near lobe cut at omega = 0 or at a band edge, the last far-field panel on
+each side, and the partial lobes at omega = 0 and at a band edge.  A point
+gathers its nodes in three blocks: the full-kernel block (the partial lobe
+at omega = 0, the near lobes, the partial lobe at a band edge), the
+far-field nodes above and below resonance, and the shifted bounds.
+sinc^2(u/2) R runs once over the first block and 2 R/u^2 once over the
+other two; each part then reduces over its own contiguous slice, in
+increasing u, with the same numpy call over the same length as a
+per-region evaluation would, so the results do not depend on how the nodes
+are gathered.  The stopping rule scans the panel sums in Python floats,
+which add as np.cumsum does.
 
 The closed form (``analytic_rate``) is one Beta-function tail summed over
 the reservoir's ``term_powers()`` and normalised by its ``leading_term()``;
@@ -170,103 +170,36 @@ def _one_panel(a: float, b: float, n: int):
 
 
 @functools.lru_cache(maxsize=8)
-def _lobe_edges(start: float) -> np.ndarray:
-    """Every far-field panel boundary the walk from ``start`` places, read-only.
+def _side_bounds(near_lobes: int):
+    """One side's panel bounds, and those bounds shifted by +1/2 and -1/2, read-only.
 
-    Each boundary is the lobe multiple at or above the larger of 1.25 times
-    and one lobe beyond the last; the walk runs until the next boundary
-    would overflow, so it covers every finite end.
+    The bounds are the lobe multiples 2 pi k for k < ``near_lobes``, then
+    the far-field walk from 2 pi near_lobes: each boundary is the lobe
+    multiple at or above the larger of 1.25 times and one lobe beyond the
+    last, until the next would overflow, so the walk covers every finite end.
     """
-    out = [start]
+    edges = [_TWO_PI * k for k in range(near_lobes + 1)]
     while True:
-        reach = max(out[-1] * _GROWTH, out[-1] + _TWO_PI) / _TWO_PI
+        reach = max(edges[-1] * _GROWTH, edges[-1] + _TWO_PI) / _TWO_PI
         nxt = _TWO_PI * math.ceil(reach) if reach < math.inf else math.inf
         if nxt == math.inf:
             break
-        out.append(nxt)
-    edges = np.asarray(out)
-    edges.flags.writeable = False
-    return edges
+        edges.append(nxt)
+    edges = np.asarray(edges)
+    arrays = (edges, edges + 0.5, edges - 0.5)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @functools.lru_cache(maxsize=64)
-def _lobe_nodes(start: float, n: int, panels: int):
-    """GL nodes and weights of the first ``panels`` panels of the walk, read-only."""
+def _side_nodes(near_lobes: int, n: int, panels: int):
+    """GL nodes and weights of the near lobes and the first ``panels`` walk panels
+    of one side, and sinc^2(u/2) at the near-lobe nodes, read-only."""
     # panels past the walk a point asked for may overflow at the top of the float range
     with np.errstate(over="ignore"):
-        u, w = _panel_nodes(_lobe_edges(start)[:panels + 1], n)
-    u.flags.writeable = False
-    w.flags.writeable = False
-    return u, w
-
-
-@functools.lru_cache(maxsize=64)
-def _mirrored_lobe_nodes(start: float, n: int, panels: int):
-    """The nodes and weights of ``_lobe_nodes`` mirrored below resonance, read-only.
-
-    They are -u[::-1] and w[::-1]: the GL nodes and weights of the mirrored
-    panels, exactly, because leggauss nodes are antisymmetric and its
-    weights symmetric.
-    """
-    u, w = _lobe_nodes(start, n, panels)
-    arrays = (-u[::-1], w[::-1].copy())
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-@functools.lru_cache(maxsize=8)
-def _shifted_edges(start: float):
-    """The walk's boundaries shifted by +1/2 and -1/2, then mirrored and shifted, read-only.
-
-    Returns ``(edges + 0.5, edges - 0.5, -edges[::-1] + 0.5, -edges[::-1] - 0.5)``
-    for ``edges = _lobe_edges(start)``.
-    """
-    edges = _lobe_edges(start)
-    mirrored = -edges[::-1]
-    arrays = (edges + 0.5, edges - 0.5, mirrored + 0.5, mirrored - 0.5)
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-def _cut_walk(start: float, end: float, n: int, mirrored: bool = False):
-    """The walk from ``start`` cut at ``end`` > start, as pieces in increasing u.
-
-    Returns lists of the pieces of its nodes, of its weights, and of its
-    boundaries shifted by +1/2 and by -1/2.  The boundaries are the walk's
-    below ``end``, then ``end``; the nodes and weights are a prefix of the
-    cached walk's plus the one cut panel.  ``mirrored`` gives the walk from
-    -end to -start instead, from the mirrored caches.
-    """
-    edges = _lobe_edges(start)
-    k = int(edges.searchsorted(end))
-    # cache the next power of two >= k - 1 panels: few sizes, at most twice the need
-    panels = 1 << max(k - 2, 0).bit_length()
-    m = (k - 1) * n
-    plus, minus, mirrored_plus, mirrored_minus = _shifted_edges(start)
-    if not mirrored:
-        u, w = _lobe_nodes(start, n, panels)
-        cut_u, cut_w = _one_panel(edges[k - 1], end, n)
-        return ([u[:m], cut_u], [w[:m], cut_w], [plus[:k], (end + 0.5,)],
-                [minus[:k], (end - 0.5,)])
-    u, w = _mirrored_lobe_nodes(start, n, panels)
-    # the cut panel built on its mirrored bounds has the bits of the mirrored cut panel
-    cut_u, cut_w = _one_panel(-end, -edges[k - 1], n)
-    first, skip = u.size - m, edges.size - k
-    return ([cut_u, u[first:]], [cut_w, w[first:]], [(-end + 0.5,), mirrored_plus[skip:]],
-            [(-end - 0.5,), mirrored_minus[skip:]])
-
-
-@functools.lru_cache(maxsize=8)
-def _shared_near(near_lobes: int, n: int):
-    """Nodes, weights and sinc^2(u/2) of the whole near region, read-only.
-
-    These are the ``near_lobes`` whole lobes on each side of resonance;
-    every nu takes the whole lobes of its near region as a slice of them.
-    """
-    u, weights = _panel_nodes(_TWO_PI * np.arange(-near_lobes, near_lobes + 1), n)
-    arrays = (u, weights, sinc_sq(0.5 * u))
+        u, w = _panel_nodes(_side_bounds(near_lobes)[0][:near_lobes + panels + 1], n)
+    arrays = (u, w, sinc_sq(0.5 * u[:near_lobes * n]))
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -275,36 +208,49 @@ def _shared_near(near_lobes: int, n: int):
 def _cut_lobe(a: float, b: float, n: int):
     """Nodes, weights and sinc^2(u/2) of the single panel [a, b].
 
-    It builds every full-kernel lobe not sliced from ``_shared_near``: a near
-    lobe cut at a clipped end, and the partial lobes at omega = 0 and a band edge.
+    It builds every full-kernel lobe not sliced from ``_side_nodes``: the
+    near lobe cut at a clipped end, and the partial lobe beyond the walk.
     """
     u, w = _one_panel(a, b, n)
     return u, w, sinc_sq(0.5 * u)
 
 
-def _near_region(lo: float, hi: float, near_lobes: int, n: int):
-    """Nodes, weights and sinc^2(u/2) of the near region [lo, hi], as a list of pieces.
+def _side(d: float, near_lobes: int, n: int, aligned: bool):
+    """One side of resonance, from u = 0 out to the distance ``d`` > 0.
 
-    ``-2 pi near_lobes <= lo < hi <= 2 pi near_lobes``.  The panels are
-    bounded by np.clip(2 pi k, lo, hi) for k from floor(lo / 2 pi) to
-    ceil(hi / 2 pi), repeats dropped.  The whole lobes, from the first
-    multiple of 2 pi at or above lo to the last at or below hi, are a slice
-    of ``_shared_near``; only the cut lobe at a clipped end is built.  Each
-    piece is a ``(u, weights, sinc^2(u/2))`` triple, in increasing u.
+    Returns ``(near, walk, lobe)``, each in increasing u:
+
+    - ``near``: the near region up to min(d, 2 pi near_lobes), as
+      ``(u, weights, sinc^2(u/2))`` pieces: its whole lobes, a slice of
+      ``_side_nodes``, then the lobe cut at d if d falls inside one;
+    - ``walk``: lists of the pieces of the far-field walk's nodes, weights
+      and bounds shifted by +1/2 and by -1/2, or None.  Beyond the near
+      region the walk is cut at d, or, when ``aligned``, at the lobe
+      multiple below d;
+    - ``lobe``: the full-kernel partial lobe from that multiple to d, or None.
+
+    The side below resonance is the mirror image: the same pieces, each
+    reversed and with u negated.
     """
-    k_lo = math.floor(lo / _TWO_PI)
+    edges, plus, minus = _side_bounds(near_lobes)
+    lobe_k = _TWO_PI * near_lobes
+    end = max(lobe_k, _TWO_PI * math.floor(d / _TWO_PI)) if aligned else d
+    k = int(edges.searchsorted(end))
+    # cache the next power of two >= the walk's whole panels: few sizes, at most twice the need
+    u, w, s = _side_nodes(near_lobes, n, 1 << max(k - near_lobes - 2, 0).bit_length())
+    hi = min(d, lobe_k)
     k_hi = math.ceil(hi / _TWO_PI)
-    k_a = k_lo if _TWO_PI * k_lo >= lo else k_lo + 1
-    k_b = k_hi if _TWO_PI * k_hi <= hi else k_hi - 1
-    if k_a > k_b:  # no lobe boundary inside
-        return [_cut_lobe(lo, hi, n)]
-    pieces = [tuple(a[(k_a + near_lobes) * n:(k_b + near_lobes) * n]
-                    for a in _shared_near(near_lobes, n))]
-    if _TWO_PI * k_lo < lo < _TWO_PI * k_a:
-        pieces.insert(0, _cut_lobe(lo, _TWO_PI * k_a, n))
-    if _TWO_PI * k_b < hi < _TWO_PI * k_hi:
-        pieces.append(_cut_lobe(_TWO_PI * k_b, hi, n))
-    return pieces
+    whole = k_hi if _TWO_PI * k_hi <= hi else k_hi - 1
+    near = [(u[:whole * n], w[:whole * n], s[:whole * n])]
+    if _TWO_PI * whole < hi < _TWO_PI * k_hi:
+        near.append(_cut_lobe(_TWO_PI * whole, hi, n))
+    walk = None
+    if end > lobe_k:
+        first, m = near_lobes * n, (k - 1) * n
+        cut_u, cut_w = _one_panel(float(edges[k - 1]), end, n)
+        walk = ([u[first:m], cut_u], [w[first:m], cut_w],
+                [plus[near_lobes:k], (end + 0.5,)], [minus[near_lobes:k], (end - 0.5,)])
+    return near, walk, _cut_lobe(end, d, n) if end < d else None
 
 
 def _telescoped(dh: np.ndarray) -> float:
@@ -313,7 +259,7 @@ def _telescoped(dh: np.ndarray) -> float:
     ``dh`` is the centered difference of the smooth part 2 R/u^2 at the
     panel boundaries; the cosine integrals telescope to these terms.
     """
-    return abs(dh[0]) + abs(dh[-1]) + float(np.abs(dh[1:] - dh[:-1]).sum())
+    return float(abs(dh[0]) + abs(dh[-1]) + np.abs(dh[1:] - dh[:-1]).sum())
 
 
 def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
@@ -357,77 +303,76 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
     truncated_by_support = support_end is not None and support_end < omega_max
     if truncated_by_support:
         omega_max = support_end
+    if omega_max <= omega0:
+        raise DomainError("truncation frequency must exceed omega0")
 
     u_min = -omega0 / nu
     u_max = (omega_max - omega0) / nu
     if not (math.isfinite(u_min) and math.isfinite(u_max)):
         raise DomainError(f"measurement rate nu={nu!r} is too small: the integration "
                           "range in units of nu overflows")
-    if u_max <= u_min:
-        raise DomainError("truncation frequency must exceed omega0")
     n = cfg.nodes_per_lobe
-    lobe_k = _TWO_PI * cfg.near_lobes
 
     # --- panels in u -------------------------------------------------------
     # Near resonance every lobe is integrated exactly with the full kernel
     # sinc^2(u/2) R, and so are the partial lobes down to omega = 0 (``tail``)
     # and up to a band edge (``edge``).  Each far-field walk takes the smooth
     # part 2 R/u^2 at its nodes and, for the error bound, half a unit either
-    # side of its panel bounds.
-    full = _near_region(max(u_min, -lobe_k), min(u_max, lobe_k), cfg.near_lobes, n)
-    tail = edge = below = above = None
-    if u_min < -lobe_k:
-        aligned_end = _TWO_PI * math.floor(-u_min / _TWO_PI)
-        if aligned_end > lobe_k:
-            below = _cut_walk(lobe_k, aligned_end, n, mirrored=True)
-        if u_min < -aligned_end:
-            tail = _cut_lobe(u_min, -aligned_end, n)
-    if u_max > lobe_k:
-        # where R ends, the walk stops on a lobe multiple; the cut lobe is exact
-        top = (max(lobe_k, _TWO_PI * math.floor(u_max / _TWO_PI)) if truncated_by_support
-               else u_max)
-        if top > lobe_k:
-            above = _cut_walk(lobe_k, top, n)
-        if top < u_max:
-            edge = _cut_lobe(top, u_max, n)
-    n_near = sum(piece[0].size for piece in full)
-    full += [lobe for lobe in (tail, edge) if lobe is not None]
-    n_full = n_near + n * ((tail is not None) + (edge is not None))
-    walk_u, walk_w, plus, minus = ([a for walk in (below, above) if walk for a in walk[i]]
-                                   for i in range(4))
-    n_below = sum(a.size for a in below[0]) if below else 0
-    bounds_below = n_below // n + 1 if below else 0
+    # side of its panel bounds.  The side below resonance is built as a side
+    # above and mirrored: its pieces reversed here, its u negated once gathered.
+    near_below, walk_below, tail = _side(-u_min, cfg.near_lobes, n, aligned=True)
+    near_above, walk_above, edge = _side(u_max, cfg.near_lobes, n, aligned=truncated_by_support)
+    below = [(bu[::-1], bw[::-1], bs[::-1])
+             for bu, bw, bs in ([tail] if tail else []) + near_below[::-1]]
+    full_u, full_w, full_s = zip(*below, *near_above, *([edge] if edge else []))
+    walk_u, walk_w, plus, minus = walk_above or ([],) * 4
+    below_u, below_w, below_plus, below_minus = (
+        [a[::-1] for a in pieces[::-1]] for pieces in walk_below or ([],) * 4)
+    n_tail = n if tail else 0
+    n_full = sum(map(len, full_u))
+    n_near = n_full - n_tail - (n if edge else 0)
+    n_above = sum(map(len, walk_u))
+    n_far = n_above + sum(map(len, below_u))
+    bounds_below = sum(map(len, below_plus))
+    bounds = bounds_below + sum(map(len, plus))
 
-    # --- one reservoir call over three blocks: the full-kernel nodes (near,
-    # tail, edge), the far-field nodes (below, above) and the shifted panel
-    # bounds (every +1/2 one, then every -1/2 one); each part then reduces
-    # over its own contiguous slice with the same numpy call as on its own
-    u = np.concatenate([piece[0] for piece in full] + walk_u + plus + minus)
-    w = np.concatenate([piece[1] for piece in full] + walk_w)
+    # --- one reservoir call over three blocks: the full-kernel nodes (tail,
+    # near, edge), the far-field nodes (above, below) and the shifted panel
+    # bounds (every +1/2 one, then every -1/2 one, each below then above);
+    # each part then reduces over its own contiguous slice with the same
+    # numpy call as on its own.  Mirrored, a bound's -1/2 shift below
+    # resonance is the negated +1/2 shift above, and the other way round.
+    u = np.concatenate([*full_u, *walk_u, *below_u, *below_minus, *plus, *below_plus, *minus])
+    w = np.concatenate([*full_w, *walk_w, *below_w])
+    # negate u below resonance: the tail and near lobes, the walk with the
+    # bounds it shifted by -1/2, and the bounds it shifted by +1/2
+    for lo, hi in ((0, sum(map(len, full_u[:len(below)]))),
+                   (n_full + n_above, n_full + n_far + bounds_below),
+                   (n_full + n_far + bounds, n_full + n_far + bounds + bounds_below)):
+        mirrored = u[lo:hi]
+        np.negative(mirrored, out=mirrored)
     omega = np.maximum(omega0 + nu * u, 0.0)
     r = reservoir(omega)
     # a callable may return one value for all frequencies, as a flat spectrum can
     if np.shape(r) != omega.shape:
         r = np.broadcast_to(r, omega.shape)
-    kr = np.concatenate([piece[2] for piece in full]) * r[:n_full]
+    kr = np.concatenate(full_s) * r[:n_full]
     far_u, far_w = u[n_full:], w[n_full:]
     # far out at tiny nu u^2 overflows, and 2 R/u^2 -> 0 is the right limit
     with np.errstate(over="ignore"):
         smooth = 2.0 * r[n_full:] / (far_u * far_u)
-    n_far = far_w.size
-    bounds = (smooth.size - n_far) // 2
     dh = smooth[n_far:n_far + bounds] - smooth[n_far + bounds:]
 
-    gamma_near = float(np.dot(kr[:n_near], w[:n_near]))
+    gamma_near = float(np.dot(kr[n_tail:n_tail + n_near], w[n_tail:n_tail + n_near]))
     err_abs = 0.0
 
     # --- far region below resonance, then the final partial lobe -------------
     gamma_below = 0.0
-    if below is not None:
-        gamma_below += float(np.dot(smooth[:n_below], far_w[:n_below]))
+    if walk_below:
+        gamma_below += float(np.dot(smooth[n_above:n_far], far_w[n_above:]))
         err_abs += _telescoped(dh[:bounds_below])
-    if tail is not None:
-        gamma_below += float(np.dot(kr[n_near:n_near + n], w[n_near:n_near + n]))
+    if tail:
+        gamma_below += float(np.dot(kr[:n], w[:n]))
 
     # --- far region above resonance, then the partial lobe at the band edge:
     # stop at the first panel that is small and leaves a small remainder bound
@@ -436,9 +381,9 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
     gamma_above = 0.0
     converged = True
     panels = []
-    if above is not None:
-        panels = (smooth[n_below:n_far] * far_w[n_below:]).reshape(-1, n).sum(axis=1).tolist()
-    if edge is not None:
+    if walk_above:
+        panels = (smooth[:n_above] * far_w[:n_above]).reshape(-1, n).sum(axis=1).tolist()
+    if edge:
         panels.append(float(np.dot(kr[n_full - n:], w[n_full - n:n_full])))
     if panels:
         # sequential sums, as np.cumsum adds
@@ -455,7 +400,7 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
         err_abs += remainder_bound
         if stop == len(panels) - 1 and remainder_bound >= cfg.rel_tol * (base + gamma_above):
             converged = False
-        if above is not None:
+        if walk_above:
             err_abs += _telescoped(dh[bounds_below:bounds_below + stop + 2])
     else:
         err_abs += beyond

@@ -298,6 +298,9 @@ class FullReservoir:
         if not self.degenerate_ok and self.leading_term()[0] == 0.0:
             raise DomainError("no nonzero (J_min, r=0) term; pass degenerate_ok=True "
                               "to build a reservoir with a vanishing leading coupling")
+        # built once: every eval and every metadata read returns this tuple
+        object.__setattr__(self, "_term_powers", tuple(
+            (d, eta_for(j, self.epsilon) + 2 * r) for j, r, d in terms))
 
     @classmethod
     def from_transition(cls, t: Transition,
@@ -333,7 +336,7 @@ class FullReservoir:
 
     def term_powers(self) -> tuple[tuple[float, int], ...]:
         """(amplitude, eta_J + 2r) for every term."""
-        return tuple((d, eta_for(j, self.epsilon) + 2 * r) for j, r, d in self.terms)
+        return self._term_powers
 
     def eval(self, omega):
         """Coupling spectrum at omega (scalar or array), omega >= 0."""

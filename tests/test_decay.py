@@ -9,15 +9,11 @@ import pytest
 from zenoscope.decay import (
     DecayResult,
     QuadratureConfig,
-    _cut_walk,
     _gl_cache,
-    _lobe_edges,
-    _lobe_nodes,
-    _mirrored_lobe_nodes,
-    _near_region,
     _panel_nodes,
-    _shared_near,
-    _shifted_edges,
+    _side,
+    _side_bounds,
+    _side_nodes,
     _tail_sum,
     analytic_rate,
     fgr_rate,
@@ -239,6 +235,10 @@ def test_quadrature_matches_analytic(name, nu):
     ana = analytic_rate(reservoir, omega0, m)
     assert quad.converged
     assert abs(quad.ratio - ana.ratio) / quad.ratio < 0.02
+    # plain Python scalars, whichever walks ran
+    for value in (quad.ratio, quad.gamma0, quad.err_estimate):
+        assert type(value) is float
+    assert type(quad.converged) is bool and type(quad.rwa_warning) is bool
 
 
 def test_quadrature_dipole_no_acceleration():
@@ -325,6 +325,29 @@ def test_quadrature_rejects_a_nu_that_overflows_the_range():
     reservoir, omega0 = builtin_transition("3D-1S")
     with pytest.raises(DomainError, match="too small"):
         modified_rate_quadrature(reservoir, omega0, MeasurementSchedule(nu=1e-310))
+
+
+class _EndsAt:
+    """exp(-omega), positive at every frequency, whose support is declared to end at ``end``."""
+
+    def __init__(self, end):
+        self.omega_support_end = end
+
+    def __call__(self, omega):
+        return np.exp(-np.asarray(omega, dtype=float))
+
+
+@pytest.mark.parametrize("reservoir", [
+    _EndsAt(0.9),
+    _EndsAt(1.0),
+    # the default truncation, 50 omega_x, lies below omega0
+    SimpleReservoir(d=1.0, eta=3, mu=6, omega_x=0.01),
+], ids=["support-below", "support-at", "cutoff-below"])
+def test_quadrature_rejects_a_truncation_at_or_below_omega0(reservoir):
+    # R(omega0) > 0, so only the empty range above resonance is wrong
+    assert reservoir(1.0) > 0.0
+    with pytest.raises(DomainError, match="truncation frequency must exceed omega0"):
+        modified_rate_quadrature(reservoir, 1.0, MeasurementSchedule(nu=1e-3))
 
 
 def test_quadrature_large_nu_runs():
@@ -452,10 +475,19 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _mirrored(u, w, plus, minus):
+    """A side's nodes, weights and shifted bounds mirrored below resonance.
+
+    The quadrature gathers the side below this way: each piece reversed,
+    u negated; a -1/2 shift becomes a +1/2 one and the other way round.
+    """
+    return -u[::-1], w[::-1], -minus[::-1], -plus[::-1]
+
+
 @pytest.mark.parametrize("near_lobes", [1, 4, 64, 1024])
 def test_cached_walk_matches_the_loop_bit_for_bit(near_lobes):
     start, n = TWO_PI * near_lobes, 15
-    walk = _lobe_edges(start)
+    walk = _side_bounds(near_lobes)[0][near_lobes:]
     last = len(walk) - 1
     # every boundary up to 2^8 panels, each cache size 2^j and its neighbours,
     # every 64th boundary and the last eight; all ~3,150 would run the loop
@@ -468,36 +500,62 @@ def test_cached_walk_matches_the_loop_bit_for_bit(near_lobes):
         ends |= {b, float(np.nextafter(b, 0.0)), walk[i - 1] + 0.5 * (b - walk[i - 1])}
         if i < last:  # past the last boundary the loop's next step overflowed
             ends.add(float(np.nextafter(b, math.inf)))
-    with np.errstate(over="ignore"):  # panel midpoints near the top of the float range
+    # panel midpoints near the top of the float range overflow, and sinc^2 of
+    # the partial lobe there is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
         for end in sorted(ends):
             ref = _reference_walk(start, end, 1.25)
             # the boundaries below end are a prefix of the cached walk
             assert _same_bits(walk[:ref.size - 1], ref[:-1]), end
-            for mirrored, bounds in ((False, ref), (True, -ref[::-1])):
-                u, w, plus, minus = (np.concatenate(pieces)
-                                     for pieces in _cut_walk(start, end, n, mirrored))
+            _, pieces, lobe = _side(end, near_lobes, n, aligned=False)
+            side = tuple(np.concatenate(a) for a in pieces)
+            assert lobe is None
+            for bounds, (u, w, plus, minus) in ((ref, side), (-ref[::-1], _mirrored(*side))):
                 ref_u, ref_w = _panel_nodes(bounds, n)
-                assert _same_bits(u, ref_u) and _same_bits(w, ref_w), (end, mirrored)
-                assert _same_bits(plus, bounds + 0.5), (end, mirrored)
-                assert _same_bits(minus, bounds - 0.5), (end, mirrored)
+                assert _same_bits(u, ref_u) and _same_bits(w, ref_w), (end, bounds[0])
+                assert _same_bits(plus, bounds + 0.5), (end, bounds[0])
+                assert _same_bits(minus, bounds - 0.5), (end, bounds[0])
+            # aligned, the walk stops at the lobe multiple below end and the
+            # full-kernel partial lobe covers the rest
+            multiple = max(start, TWO_PI * math.floor(end / TWO_PI))
+            _, aligned, lobe = _side(end, near_lobes, n, aligned=True)
+            if multiple > start:
+                cut = _side(multiple, near_lobes, n, aligned=False)[1]
+                for got, want in zip(aligned, cut):
+                    assert _same_bits(np.concatenate(got), np.concatenate(want)), end
+            else:
+                assert aligned is None
+            if multiple < end:
+                ref_u, ref_w = _panel_nodes(np.array([multiple, end]), n)
+                assert _same_bits(lobe[0], ref_u) and _same_bits(lobe[1], ref_w), end
+            else:
+                assert lobe is None
 
 
 @pytest.mark.parametrize("near_lobes, n", [(1, 15), (4, 7), (64, 15), (1024, 41)])
 def test_mirrored_and_shifted_caches_are_read_only_and_exact(near_lobes, n):
+    edges, plus, minus = _side_bounds(near_lobes)
     start = TWO_PI * near_lobes
-    edges = _lobe_edges(start)
-    shifted = _shifted_edges(start)
-    for got, want in zip(shifted, (edges + 0.5, edges - 0.5,
-                                   -edges[::-1] + 0.5, -edges[::-1] - 0.5)):
-        assert _same_bits(got, want)
+    assert _same_bits(edges, np.concatenate((TWO_PI * np.arange(near_lobes),
+                                             _reference_walk(start, edges[-1], 1.25))))
+    assert _same_bits(plus, edges + 0.5) and _same_bits(minus, edges - 0.5)
+    # mirrored, the shifted bounds are the mirrored bounds shifted
+    assert _same_bits(-minus[::-1], -edges[::-1] + 0.5)
+    assert _same_bits(-plus[::-1], -edges[::-1] - 0.5)
     with np.errstate(over="ignore"):
         for panels in (1, 2, 64, 1024):
-            u, w = _lobe_nodes(start, n, panels)
-            mirrored_u, mirrored_w = _mirrored_lobe_nodes(start, n, panels)
-            assert _same_bits(mirrored_u, -u[::-1]) and _same_bits(mirrored_w, w[::-1])
-            for a in (u, w, mirrored_u, mirrored_w):
+            u, w, s = _side_nodes(near_lobes, n, panels)
+            bounds = edges[:near_lobes + panels + 1]
+            assert _same_bits(u, _panel_nodes(bounds, n)[0])
+            # the nodes and weights of the mirrored panels, and sinc^2 there
+            mirrored_u, mirrored_w = _panel_nodes(-bounds[::-1], n)
+            assert _same_bits(-u[::-1], mirrored_u) and _same_bits(w[::-1], mirrored_w)
+            near = u[:near_lobes * n]
+            assert _same_bits(s, sinc_sq(0.5 * near))
+            assert _same_bits(s[::-1], sinc_sq(0.5 * mirrored_u[-near.size:]))
+            for a in (u, w, s):
                 assert not a.flags.writeable
-    for a in (edges, *shifted, *_shared_near(near_lobes, n), *_gl_cache(n)):
+    for a in (edges, plus, minus, *_gl_cache(n)):
         assert not a.flags.writeable
 
 
@@ -509,7 +567,7 @@ def test_gl_nodes_are_antisymmetric_and_weights_symmetric(n):
 
 
 # ---------------------------------------------------------------------------
-# the near region sliced from the shared nodes
+# the near region sliced from each side's cached nodes
 # ---------------------------------------------------------------------------
 
 def _reference_near_edges(lo: float, hi: float) -> np.ndarray:
@@ -521,7 +579,7 @@ def _reference_near_edges(lo: float, hi: float) -> np.ndarray:
 
 
 def _near_cases(near_lobes: int):
-    """(lo, hi) pairs over lobe multiples, their neighbours and cut lobes."""
+    """(lo, hi) pairs, lo < 0 < hi, over lobe multiples, their neighbours and cut lobes."""
     lobe_k = TWO_PI * near_lobes
     ks = {0, 1, 2, near_lobes // 2, near_lobes - 1, near_lobes}
     marks = set()
@@ -532,10 +590,8 @@ def _near_cases(near_lobes: int):
     marks = {x for x in marks if -lobe_k <= x <= lobe_k}
     # the low side clipped only, the high side only, both sides, and neither
     pairs = {(lo, hi) for lo in marks for hi in marks if lo < 0.0 < hi}
-    # ranges inside one lobe, and touching one boundary of it
-    for k in {0, 1, near_lobes - 1, -near_lobes}:
-        b = TWO_PI * k
-        pairs |= {(b + 0.5, b + 1.0), (b, b + 1.0), (b + 1.0, b + TWO_PI)}
+    # ranges inside the two lobes next to resonance, and touching a boundary of them
+    pairs |= {(-1.0, 0.5), (-TWO_PI, 1.0), (-1.0, TWO_PI)}
     # the measurement rate at which u_min = -1/nu reaches -lobe_k, and its neighbours
     nu = 1.0 / lobe_k
     for v in (float(np.nextafter(nu, 0.0)), nu, float(np.nextafter(nu, 1.0))):
@@ -546,16 +602,25 @@ def _near_cases(near_lobes: int):
     return sorted(pairs)
 
 
+def _near_region(lo: float, hi: float, near_lobes: int, n: int):
+    """The near region [lo, hi] as the quadrature gathers it: the side below mirrored."""
+    bu, bw, bs = (np.concatenate(a) for a in zip(*_side(-lo, near_lobes, n, aligned=False)[0]))
+    au, aw, as_ = (np.concatenate(a) for a in zip(*_side(hi, near_lobes, n, aligned=False)[0]))
+    return (np.concatenate((-bu[::-1], au)), np.concatenate((bw[::-1], aw)),
+            np.concatenate((bs[::-1], as_)))
+
+
 @pytest.mark.parametrize("near_lobes, n", [(1, 15), (4, 7), (64, 15)])
 def test_sliced_near_region_matches_the_built_one_bit_for_bit(near_lobes, n):
     for lo, hi in _near_cases(near_lobes):
-        u, w, s = (np.concatenate(a) for a in zip(*_near_region(lo, hi, near_lobes, n)))
+        u, w, s = _near_region(lo, hi, near_lobes, n)
         ref_u, ref_w = _panel_nodes(_reference_near_edges(lo, hi), n)
         assert _same_bits(u, ref_u), (lo, hi)
         assert _same_bits(w, ref_w), (lo, hi)
         assert _same_bits(s, sinc_sq(0.5 * ref_u)), (lo, hi)
-    # the whole near region is the shared arrays
+    # a side's whole near region is a slice of its cached nodes
     lobe_k = TWO_PI * near_lobes
-    (whole,) = _near_region(-lobe_k, lobe_k, near_lobes, n)
-    for got, shared in zip(whole, _shared_near(near_lobes, n)):
-        assert _same_bits(got, shared)
+    (whole,) = _side(lobe_k, near_lobes, n, aligned=False)[0]
+    for got, cached in zip(whole, _side_nodes(near_lobes, n, 1)):
+        assert np.shares_memory(got, cached)
+        assert _same_bits(got, cached[:near_lobes * n])

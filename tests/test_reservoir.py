@@ -280,6 +280,16 @@ def test_full_equals_sum_of_simple_terms():
     assert np.allclose(r(w), total, rtol=1e-14)
 
 
+def test_full_term_powers_are_built_once():
+    terms = ((2, 0, 1.0), (3, 0, 0.5), (2, 1, 0.25))
+    r = FullReservoir(terms=terms, epsilon=0, mu=8, omega_x=100.0, j_range=(2, 3))
+    assert r.term_powers() == tuple((d, eta_for(j, 0) + 2 * rr) for j, rr, d in terms)
+    assert r.term_powers() is r.term_powers()
+    # the cached tuple is not a field: equality, hashing and repr see only the terms
+    same = FullReservoir(terms=terms, epsilon=0, mu=8, omega_x=100.0, j_range=(2, 3))
+    assert r == same and hash(r) == hash(same) and "_term_powers" not in repr(r)
+
+
 def test_full_construction_errors():
     with pytest.raises(DomainError):
         FullReservoir(terms=(), epsilon=0, mu=6, omega_x=1.0, j_range=(2, 3))
