@@ -386,6 +386,15 @@ def test_oracle_command(capsys):
     assert doc["method"] == "rk4"
 
 
+def test_oracle_rejects_a_vanishing_free_rate(capsys):
+    # R(omega0) underflows to 0 at this cutoff: a usage error, raised before
+    # the modes are integrated into a survival probability of exactly 1
+    code, out, err = run_cli(capsys, "oracle", "--nu", "1e-2", "--omega-x", "1e308",
+                             "--n-modes", "2000", "--method", "exact_diagonalization")
+    assert code == 2 and out == ""
+    assert "free rate vanishes at omega0" in err
+
+
 # ---------------------------------------------------------------------------
 # ca
 # ---------------------------------------------------------------------------

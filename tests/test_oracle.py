@@ -12,6 +12,7 @@ from zenoscope.errors import DomainError, NumericalError
 from zenoscope.oracle import (
     _arrowhead_eigensystem,
     _auto_coupling_scale,
+    _pass_map,
     _survival_rk4,
     BandLimitedReservoir,
     DiscretizedModes,
@@ -235,7 +236,9 @@ def _stagewise_rk4(modes, omega0, tau, dt):
     return float(abs(y[0]) ** 2), drift
 
 
-@pytest.mark.parametrize("timing", ["stability", "explicit-dt", "four-step-floor"])
+@pytest.mark.parametrize("timing", ["stability", "explicit-dt", "four-step-floor",
+                                    "remainder-0", "remainder-1", "remainder-2",
+                                    "remainder-3"])
 @pytest.mark.parametrize("seed", range(4))
 def test_rk4_matches_stagewise_loop(seed, timing):
     # unsorted poles, signed couplings and about a third of them zero
@@ -245,15 +248,61 @@ def test_rk4_matches_stagewise_loop(seed, timing):
     g = rng.uniform(-3e-2, 3e-2, n) * (rng.uniform(size=n) > 0.3)
     modes, omega0 = DiscretizedModes(omega=omega, g=g), float(rng.uniform(0.5, 2.5))
     stability = 0.1 / np.max(np.abs(omega - omega0))
+    # remainder-r: 16 + r steps of dt, four full passes and then one of r steps
     tau, dt = {"stability": (30.0, None),
                "explicit-dt": (10.0, 0.3 * stability),
-               "four-step-floor": (0.5 * stability, None)}[timing]
+               "four-step-floor": (0.5 * stability, None),
+               **{f"remainder-{r}": ((15.5 + r) * 0.3 * stability, 0.3 * stability)
+                  for r in range(4)}}[timing]
+    n_steps = _rk4_steps(omega - omega0, tau, dt)[0]
     if timing == "four-step-floor":
-        assert _rk4_steps(omega - omega0, tau)[0] == 4
+        assert n_steps == 4
+    if timing.startswith("remainder"):
+        assert n_steps == 16 + int(timing[-1])
     p_ref, drift_ref = _stagewise_rk4(modes, omega0, tau, dt)
     res = _survival_rk4(modes, omega0, tau, dt)
     assert res.probability == pytest.approx(p_ref, rel=0, abs=1e-12)
     assert res.norm_drift == pytest.approx(drift_ref, rel=1e-6, abs=1e-14)
+
+
+def _one_step_map(s):
+    """Reference: the 5x5 one-step map as first written, on s_0..s_2."""
+    unit = np.eye(5)
+    alpha, c = unit[0], np.zeros((4, 5))
+    step_map = np.zeros((5, 5), dtype=np.complex128)
+    for j in range(1, 5):
+        alpha, c = unit[j] + s[:3] @ c[:3], np.vstack((alpha, c[:3]))
+        coef = (-1j) ** j / math.factorial(j)
+        step_map[0] += coef * alpha
+        step_map[1:] += coef * c
+    return step_map
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pass_map_matches_single_steps(seed):
+    # X = h delta inside the stability bound and G = h g, on 50 modes
+    rng = np.random.default_rng(seed)
+    x, g = rng.uniform(-0.1, 0.1, 50), rng.uniform(-0.05, 0.05, 50)
+    a0 = complex(*rng.normal(size=2))
+    b0 = rng.normal(size=50) + 1j * rng.normal(size=50)
+    basis = np.empty((16, 50))
+    basis[0] = g
+    for i in range(1, 16):
+        basis[i] = basis[i - 1] * x
+    s = basis[:15] @ g
+    q = sum((-1j * x) ** j / math.factorial(j) for j in range(5))
+    assert np.array_equal(_pass_map(s, 1), _one_step_map(s))
+    a, b = a0, b0
+    for k in range(1, 5):
+        # one step, sum_{j<=4} (-i hH)^j / j! with hH (a, b) = (G.b, G a + X b)
+        va, vb = a, b
+        for j in range(1, 5):
+            va, vb = -1j * (g @ vb), -1j * (g * va + x * vb)
+            a, b = a + va / math.factorial(j), b + vb / math.factorial(j)
+        update = _pass_map(s, k) @ np.concatenate(([a0], basis[:4 * k] @ b0))
+        got = np.concatenate(([a0 + update[0]], q ** k * b0 + update[1:] @ basis[:4 * k]))
+        want = np.concatenate(([a], b))
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("nu", [1e-2, 3e-2])
@@ -436,6 +485,22 @@ def test_oracle_rate_probability_guard():
     with pytest.raises(NumericalError):
         oracle_rate(_flat(1e-30), 1.0, MeasurementSchedule(nu=1e-2),
                     OracleConfig(n_modes=4000, coupling_scale=1.0))
+
+
+@pytest.mark.parametrize("method", ["rk4", "exact_diagonalization"])
+def test_oracle_rate_rejects_a_vanishing_free_rate_before_integrating(method):
+    # R vanishes at omega0 (here everywhere): only R(omega0) is ever evaluated
+    inner = _desk_reservoir(3)
+    calls = []
+
+    def reservoir(w):
+        calls.append(np.ndim(w))
+        return 0.0 * inner(w)
+
+    with pytest.raises(DomainError, match="free rate vanishes"):
+        oracle_rate(reservoir, 1.0, MeasurementSchedule(nu=1e-2),
+                    OracleConfig(n_modes=2000, method=method))
+    assert calls == [0]
 
 
 def test_oracle_vs_quadrature_quadrupole_desk():
