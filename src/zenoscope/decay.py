@@ -29,16 +29,14 @@ once per configuration: the side's panel bounds - its ``near_lobes`` lobe
 multiples, then every boundary of the far-field walk up to where the next
 would overflow - and those bounds shifted by +1/2 and -1/2, and the nodes
 and weights of its panels with sinc^2(u/2) at the near-lobe nodes.  Only
-where each side is cut depends on nu, so a point takes its whole lobes and
-panels as slices of the cached ones and builds only its cut panels: the
-near lobe cut at omega = 0 or at a band edge, the last far-field panel on
-each side, and the partial lobes at omega = 0 and at a band edge.  A point
-gathers its nodes in three blocks: the full-kernel block (the partial lobe
-at omega = 0, the near lobes, the partial lobe at a band edge), the
-far-field nodes above and below resonance, and the shifted bounds.
-sinc^2(u/2) R runs once over the first block and 2 R/u^2 once over the
-other two; each part then reduces over its own contiguous slice, in
-increasing u, with the same numpy call over the same length as a
+where each side ends depends on nu, and one rule cuts it there: the panel
+that holds the end is cut, and the panels below it are slices of the
+cached ones; a partial lobe then reaches omega = 0 or a band edge.  A
+point gathers its nodes in two blocks, one per side, negates the block
+below once, and the full-kernel nodes of both sides meet in the middle.
+sinc^2(u/2) R runs once over those and 2 R/u^2 once over each side's walk
+and shifted bounds; each part then reduces over its own contiguous slice,
+in increasing u, with the same numpy call over the same length as a
 per-region evaluation would, so the results do not depend on how the nodes
 are gathered.  The stopping rule scans the panel sums in Python floats,
 which add as np.cumsum does.
@@ -222,44 +220,59 @@ def _side(d: float, near_lobes: int, n: int, aligned: bool):
 
     - ``near``: the near region up to min(d, 2 pi near_lobes), as
       ``(u, weights, sinc^2(u/2))`` pieces: its whole lobes, a slice of
-      ``_side_nodes``, then the lobe cut at d if d falls inside one;
+      ``_side_nodes``, then the lobe cut at d if d falls inside the region;
     - ``walk``: lists of the pieces of the far-field walk's nodes, weights
-      and bounds shifted by +1/2 and by -1/2, or None.  Beyond the near
-      region the walk is cut at d, or, when ``aligned``, at the lobe
+      and bounds shifted by +1/2 and by -1/2, empty inside the near region.
+      Beyond it the walk is cut at d, or, when ``aligned``, at the lobe
       multiple below d;
     - ``lobe``: the full-kernel partial lobe from that multiple to d, or None.
 
-    The side below resonance is the mirror image: the same pieces, each
-    reversed and with u negated.
+    One rule cuts both regions: the panel of the side's bounds that holds
+    the end is cut there, and the panels below it are whole.  The side
+    below resonance is the mirror image: the same pieces, each reversed
+    and with u negated.
     """
     edges, plus, minus = _side_bounds(near_lobes)
     lobe_k = _TWO_PI * near_lobes
-    end = max(lobe_k, _TWO_PI * math.floor(d / _TWO_PI)) if aligned else d
+    end = max(lobe_k, _TWO_PI * math.floor(d / _TWO_PI)) if aligned and d > lobe_k else d
     k = int(edges.searchsorted(end))
     # cache the next power of two >= the walk's whole panels: few sizes, at most twice the need
     u, w, s = _side_nodes(near_lobes, n, 1 << max(k - near_lobes - 2, 0).bit_length())
-    hi = min(d, lobe_k)
-    k_hi = math.ceil(hi / _TWO_PI)
-    whole = k_hi if _TWO_PI * k_hi <= hi else k_hi - 1
-    near = [(u[:whole * n], w[:whole * n], s[:whole * n])]
-    if _TWO_PI * whole < hi < _TWO_PI * k_hi:
-        near.append(_cut_lobe(_TWO_PI * whole, hi, n))
-    walk = None
-    if end > lobe_k:
-        first, m = near_lobes * n, (k - 1) * n
+    whole = min(k - 1, near_lobes) * n
+    near = [(u[:whole], w[:whole], s[:whole])]
+    walk = [], [], [], []
+    if k <= near_lobes:
+        near.append(_cut_lobe(float(edges[k - 1]), end, n))
+    else:
         cut_u, cut_w = _one_panel(float(edges[k - 1]), end, n)
-        walk = ([u[first:m], cut_u], [w[first:m], cut_w],
+        walk = ([u[whole:(k - 1) * n], cut_u], [w[whole:(k - 1) * n], cut_w],
                 [plus[near_lobes:k], (end + 0.5,)], [minus[near_lobes:k], (end - 0.5,)])
     return near, walk, _cut_lobe(end, d, n) if end < d else None
 
 
-def _telescoped(dh: np.ndarray) -> float:
-    """Bound on the cosine part of panels whose boundaries give ``dh``.
+def _gathered(near, walk, lobe, mirrored=False):
+    """A side's u, weight and sinc^2(u/2) pieces in the order a point gathers them.
 
-    ``dh`` is the centered difference of the smooth part 2 R/u^2 at the
-    panel boundaries; the cosine integrals telescope to these terms.
+    From u = 0 outwards: the near lobes, the partial lobe, the walk, then
+    its bounds shifted by +1/2 and by -1/2; ``mirrored``, the other way
+    round with each piece reversed.
     """
-    return float(abs(dh[0]) + abs(dh[-1]) + np.abs(dh[1:] - dh[:-1]).sum())
+    full_u, full_w, full_s = zip(*near, *([lobe] if lobe else []))
+    walk_u, walk_w, plus, minus = walk
+    blocks = [*full_u, *walk_u, *plus, *minus], [*full_w, *walk_w], list(full_s)
+    return [[p[::-1] for p in block[::-1]] for block in blocks] if mirrored else blocks
+
+
+def _telescoped(shifted: np.ndarray, bounds: int | None = None) -> float:
+    """Bound on the cosine part of panels, from their first ``bounds`` bounds.
+
+    ``shifted`` holds the smooth part 2 R/u^2 at the panel bounds shifted
+    by +1/2, then at those shifted by -1/2; their centered differences dh
+    are what the cosine integrals telescope to.  Zero without panels.
+    """
+    half = shifted.size // 2
+    dh = shifted[:half][:bounds] - shifted[half:][:bounds]
+    return float(abs(dh[0]) + abs(dh[-1]) + np.abs(dh[1:] - dh[:-1]).sum()) if dh.size else 0.0
 
 
 def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
@@ -313,97 +326,69 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
                           "range in units of nu overflows")
     n = cfg.nodes_per_lobe
 
-    # --- panels in u -------------------------------------------------------
+    # --- panels in u, one reservoir call over two blocks in increasing u ------
     # Near resonance every lobe is integrated exactly with the full kernel
     # sinc^2(u/2) R, and so are the partial lobes down to omega = 0 (``tail``)
     # and up to a band edge (``edge``).  Each far-field walk takes the smooth
     # part 2 R/u^2 at its nodes and, for the error bound, half a unit either
-    # side of its panel bounds.  The side below resonance is built as a side
-    # above and mirrored: its pieces reversed here, its u negated once gathered.
+    # side of its panel bounds.  The side below is a side above mirrored: its
+    # +1/2 and -1/2 bounds, walk, tail and near lobes, negated once gathered
+    # (a -1/2 shift below is a negated +1/2 shift above).  Then the side
+    # above: its near lobes, edge lobe, walk, +1/2 and -1/2 bounds.
     near_below, walk_below, tail = _side(-u_min, cfg.near_lobes, n, aligned=True)
     near_above, walk_above, edge = _side(u_max, cfg.near_lobes, n, aligned=truncated_by_support)
-    below = [(bu[::-1], bw[::-1], bs[::-1])
-             for bu, bw, bs in ([tail] if tail else []) + near_below[::-1]]
-    full_u, full_w, full_s = zip(*below, *near_above, *([edge] if edge else []))
-    walk_u, walk_w, plus, minus = walk_above or ([],) * 4
-    below_u, below_w, below_plus, below_minus = (
-        [a[::-1] for a in pieces[::-1]] for pieces in walk_below or ([],) * 4)
-    n_tail = n if tail else 0
-    n_full = sum(map(len, full_u))
-    n_near = n_full - n_tail - (n if edge else 0)
-    n_above = sum(map(len, walk_u))
-    n_far = n_above + sum(map(len, below_u))
-    bounds_below = sum(map(len, below_plus))
-    bounds = bounds_below + sum(map(len, plus))
-
-    # --- one reservoir call over three blocks: the full-kernel nodes (tail,
-    # near, edge), the far-field nodes (above, below) and the shifted panel
-    # bounds (every +1/2 one, then every -1/2 one, each below then above);
-    # each part then reduces over its own contiguous slice with the same
-    # numpy call as on its own.  Mirrored, a bound's -1/2 shift below
-    # resonance is the negated +1/2 shift above, and the other way round.
-    u = np.concatenate([*full_u, *walk_u, *below_u, *below_minus, *plus, *below_plus, *minus])
-    w = np.concatenate([*full_w, *walk_w, *below_w])
-    # negate u below resonance: the tail and near lobes, the walk with the
-    # bounds it shifted by -1/2, and the bounds it shifted by +1/2
-    for lo, hi in ((0, sum(map(len, full_u[:len(below)]))),
-                   (n_full + n_above, n_full + n_far + bounds_below),
-                   (n_full + n_far + bounds, n_full + n_far + bounds + bounds_below)):
-        mirrored = u[lo:hi]
-        np.negative(mirrored, out=mirrored)
+    u_below, w_below, s_below = _gathered(near_below, walk_below, tail, mirrored=True)
+    u_above, w_above, s_above = _gathered(near_above, walk_above, edge)
+    nodes_below, nodes_above = (sum(map(len, walk[0])) for walk in (walk_below, walk_above))
+    bounds_below, bounds_above = (sum(map(len, walk[2])) for walk in (walk_below, walk_above))
+    u = np.concatenate(u_below + u_above)
+    w = np.concatenate(w_below + w_above)
+    mirrored = u[:sum(map(len, u_below))]
+    np.negative(mirrored, out=mirrored)
     omega = np.maximum(omega0 + nu * u, 0.0)
     r = reservoir(omega)
     # a callable may return one value for all frequencies, as a flat spectrum can
     if np.shape(r) != omega.shape:
         r = np.broadcast_to(r, omega.shape)
-    kr = np.concatenate(full_s) * r[:n_full]
-    far_u, far_w = u[n_full:], w[n_full:]
+    lo, hi = 2 * bounds_below + nodes_below, u.size - 2 * bounds_above - nodes_above
+    kr = np.concatenate(s_below + s_above) * r[lo:hi]
+    w_full = w[nodes_below:w.size - nodes_above]
     # far out at tiny nu u^2 overflows, and 2 R/u^2 -> 0 is the right limit
     with np.errstate(over="ignore"):
-        smooth = 2.0 * r[n_full:] / (far_u * far_u)
-    dh = smooth[n_far:n_far + bounds] - smooth[n_far + bounds:]
+        smooth_below = 2.0 * r[:lo] / (u[:lo] * u[:lo])
+        smooth_above = 2.0 * r[hi:] / (u[hi:] * u[hi:])
 
-    gamma_near = float(np.dot(kr[n_tail:n_tail + n_near], w[n_tail:n_tail + n_near]))
-    err_abs = 0.0
+    near = slice(n if tail else 0, kr.size - (n if edge else 0))
+    gamma_near = float(np.dot(kr[near], w_full[near]))
 
     # --- far region below resonance, then the final partial lobe -------------
-    gamma_below = 0.0
-    if walk_below:
-        gamma_below += float(np.dot(smooth[n_above:n_far], far_w[n_above:]))
-        err_abs += _telescoped(dh[:bounds_below])
+    gamma_below = float(np.dot(smooth_below[2 * bounds_below:], w[:nodes_below])) \
+        if nodes_below else 0.0
     if tail:
-        gamma_below += float(np.dot(kr[:n], w[:n]))
+        gamma_below += float(np.dot(kr[:n], w_full[:n]))
+    err_abs = _telescoped(smooth_below[:2 * bounds_below])
 
     # --- far region above resonance, then the partial lobe at the band edge:
     # stop at the first panel that is small and leaves a small remainder bound
     beyond = 0.0 if truncated_by_support else _beyond_truncation_bound(
         terms, mu, omega_x, omega0, nu, omega_max)
-    gamma_above = 0.0
-    converged = True
-    panels = []
-    if walk_above:
-        panels = (smooth[:n_above] * far_w[:n_above]).reshape(-1, n).sum(axis=1).tolist()
-    if edge:
-        panels.append(float(np.dot(kr[n_full - n:], w[n_full - n:n_full])))
-    if panels:
-        # sequential sums, as np.cumsum adds
-        prefix = list(itertools.accumulate(panels))
-        base = gamma_near + gamma_below
-        stop = len(panels) - 1
-        for i, (panel, summed) in enumerate(zip(panels, prefix)):
-            threshold = cfg.rel_tol * (base + summed)
-            if panel < threshold and 2.0 * (prefix[-1] - summed) + beyond < threshold:
-                stop = i
-                break
-        gamma_above = prefix[stop]
-        remainder_bound = 2.0 * (prefix[-1] - gamma_above) + beyond
-        err_abs += remainder_bound
-        if stop == len(panels) - 1 and remainder_bound >= cfg.rel_tol * (base + gamma_above):
-            converged = False
-        if walk_above:
-            err_abs += _telescoped(dh[bounds_below:bounds_below + stop + 2])
-    else:
-        err_abs += beyond
+    panels = (smooth_above[:nodes_above] * w[w.size - nodes_above:]).reshape(-1, n).sum(axis=1)
+    panels = panels.tolist() + ([float(np.dot(kr[-n:], w_full[-n:]))] if edge else [])
+    # sequential sums, as np.cumsum adds
+    prefix = list(itertools.accumulate(panels, initial=0.0))
+    base = gamma_near + gamma_below
+    stop = len(panels)
+    for i, panel in enumerate(panels, 1):
+        threshold = cfg.rel_tol * (base + prefix[i])
+        if panel < threshold and 2.0 * (prefix[-1] - prefix[i]) + beyond < threshold:
+            stop = i
+            break
+    gamma_above = prefix[stop]
+    # the remainder bound is the truncation bound alone when no panel lies above
+    remainder_bound = 2.0 * (prefix[-1] - gamma_above) + beyond
+    err_abs += remainder_bound
+    converged = stop < len(panels) or remainder_bound < cfg.rel_tol * (base + gamma_above)
+    err_abs += _telescoped(smooth_above[nodes_above:], stop + 1)
 
     gamma = gamma_near + gamma_below + gamma_above
     if not (gamma > 0 and math.isfinite(gamma)):

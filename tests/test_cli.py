@@ -80,6 +80,39 @@ def test_rate_reports_unconverged_quadrature(capsys, monkeypatch):
                          "converged"]
 
 
+def test_rate_reports_an_unconverged_truncation_bound_without_panels(capsys):
+    # at nu = 1e308 no panel lies above resonance and the truncation bound
+    # is infinite, which rel_tol cannot accept
+    code, out, _ = run_cli(capsys, "rate", "--transition", "3D-1S", "--nu", "1e308")
+    assert code == 0
+    assert '"err_estimate": inf' in out
+    assert out.rstrip().endswith('"converged": false}')
+
+
+def _negative_off_resonance(omega):
+    # positive at omega0 = 1, so the free rate is, and -1 at every quadrature node
+    w = np.asarray(omega, dtype=float)
+    return np.where(w == 1.0, 1.0, -1.0)
+
+
+def test_rate_numerical_failure_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_resolve_transition", lambda spec: (_negative_off_resonance, 1.0))
+    code, out, err = run_cli(capsys, "rate", "--transition", "negative", "--nu", "1e-3")
+    assert code == 3
+    assert out == ""
+    assert err == "numerical failure: quadrature produced a non-positive modified rate\n"
+
+
+def test_sweep_numerical_failures_keep_their_rows_and_exit_0(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_resolve_transition", lambda spec: (_negative_off_resonance, 1.0))
+    code, out, _ = run_cli(capsys, "sweep", "--transition", "negative", "--nu-min", "1e-3",
+                           "--nu-max", "1e-1", "--points", "3")
+    assert code == 0
+    rows = out.rstrip("\n").split("\n")[1:]
+    nus = SweepSpec(transition="negative", nu_min=1e-3, nu_max=1e-1, points=3).nu_values()
+    assert rows == [f"{nu:.9g},,,,,error:NumericalError" for nu in nus]
+
+
 def test_rate_unknown_transition(capsys):
     code, out, err = run_cli(capsys, "rate", "--transition", "bogus", "--nu", "1e-3")
     assert code == 2
@@ -173,6 +206,22 @@ def test_sweep_failed_points_keep_their_own_rows(capsys, monkeypatch):
         want = modified_rate_quadrature(sinking, 1.0, MeasurementSchedule(nu=nu))
         assert r[1] == f"{want.ratio:.9g}"
     assert all(r[1:5] == ["", "", "", ""] for r in rows[3:])
+
+
+def test_sweep_marks_unconverged_points(capsys, monkeypatch):
+    # the truncation bound of this heavy tail exceeds rel_tol above nu ~ 0.04
+    heavy = SimpleReservoir(d=1.0, eta=1, mu=2, omega_x=10.0)
+    monkeypatch.setattr(cli, "_resolve_transition", lambda spec: (heavy, 1.0))
+    code, out, _ = run_cli(capsys, "sweep", "--transition", "heavy", "--nu-min", "1e-2",
+                           "--nu-max", "0.3", "--points", "4")
+    assert code == 0
+    rows = [line.split(",") for line in out.rstrip("\n").split("\n")[1:]]
+    assert [r[5] for r in rows] == ["ok", "ok", "unconverged", "unconverged"]
+    nus = SweepSpec(transition="heavy", nu_min=1e-2, nu_max=0.3, points=4).nu_values()
+    for r, nu in zip(rows, nus):
+        # an unconverged point still reports its ratio
+        want = modified_rate_quadrature(heavy, 1.0, MeasurementSchedule(nu=nu))
+        assert r[1] == f"{want.ratio:.9g}" and want.converged == (r[5] == "ok")
 
 
 @pytest.mark.parametrize("error", [ValueError, FloatingPointError])

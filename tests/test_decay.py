@@ -10,6 +10,7 @@ from zenoscope.decay import (
     DecayResult,
     QuadratureConfig,
     _gl_cache,
+    _one_panel,
     _panel_nodes,
     _side,
     _side_bounds,
@@ -452,6 +453,18 @@ def test_err_estimate_bounds_the_error(transition):
         assert abs(res.ratio - tight) / tight <= res.err_estimate, nu
 
 
+def test_truncation_bound_decides_convergence_when_no_panel_lies_above():
+    # above nu ~ 1.25 the heavy tail's walk above resonance has no panel and
+    # no edge lobe, so the truncation bound alone is the remainder
+    heavy = SimpleReservoir(d=1.0, eta=1, mu=2, omega_x=10.0)
+    for nu in (1.2, 1.3, 10.0):
+        res = modified_rate_quadrature(heavy, 1.0, MeasurementSchedule(nu=nu))
+        assert not res.converged, nu
+    # a steep tail's bound is small there, and the point converges
+    steep = SimpleReservoir(d=1.0, eta=3, mu=6, omega_x=10.0)
+    assert modified_rate_quadrature(steep, 1.0, MeasurementSchedule(nu=10.0)).converged
+
+
 # ---------------------------------------------------------------------------
 # the cached far-field walk
 # ---------------------------------------------------------------------------
@@ -524,7 +537,7 @@ def test_cached_walk_matches_the_loop_bit_for_bit(near_lobes):
                 for got, want in zip(aligned, cut):
                     assert _same_bits(np.concatenate(got), np.concatenate(want)), end
             else:
-                assert aligned is None
+                assert aligned == ([], [], [], [])
             if multiple < end:
                 ref_u, ref_w = _panel_nodes(np.array([multiple, end]), n)
                 assert _same_bits(lobe[0], ref_u) and _same_bits(lobe[1], ref_w), end
@@ -570,11 +583,17 @@ def test_gl_nodes_are_antisymmetric_and_weights_symmetric(n):
 # the near region sliced from each side's cached nodes
 # ---------------------------------------------------------------------------
 
+# d with d/2pi == 19 exactly in floating point, yet d > 2pi 19 by one ulp
+SLIVER_END = 119.38052083641215
+
+
 def _reference_near_edges(lo: float, hi: float) -> np.ndarray:
     """Lobe boundaries of the near region [lo, hi], each built in one array."""
     k_lo = math.floor(lo / TWO_PI)
     k_hi = math.ceil(hi / TWO_PI)
-    edges = np.clip(TWO_PI * np.arange(k_lo, k_hi + 1), lo, hi)
+    # one multiple past each end: lo/2pi may round to k_lo while 2pi k_lo > lo,
+    # and the sliver (lo, 2pi k_lo) is still a lobe of the region
+    edges = np.clip(TWO_PI * np.arange(k_lo - 1, k_hi + 2), lo, hi)
     return edges[np.append(True, edges[1:] != edges[:-1])]
 
 
@@ -592,6 +611,10 @@ def _near_cases(near_lobes: int):
     pairs = {(lo, hi) for lo in marks for hi in marks if lo < 0.0 < hi}
     # ranges inside the two lobes next to resonance, and touching a boundary of them
     pairs |= {(-1.0, 0.5), (-TWO_PI, 1.0), (-1.0, TWO_PI)}
+    # an end whose ratio to 2 pi rounds to a whole lobe count k while it lies
+    # above 2 pi k, leaving the sliver lobe (2 pi k, end)
+    if SLIVER_END <= lobe_k:
+        pairs |= {(-SLIVER_END, SLIVER_END), (-SLIVER_END, 1.0), (-1.0, SLIVER_END)}
     # the measurement rate at which u_min = -1/nu reaches -lobe_k, and its neighbours
     nu = 1.0 / lobe_k
     for v in (float(np.nextafter(nu, 0.0)), nu, float(np.nextafter(nu, 1.0))):
@@ -610,17 +633,32 @@ def _near_region(lo: float, hi: float, near_lobes: int, n: int):
             np.concatenate((bs[::-1], as_)))
 
 
+def test_one_cut_rule_keeps_the_sliver_lobe():
+    # d/2pi rounds to 19 while d > 2pi 19: the near region still reaches d
+    k, n = 19, 15
+    assert SLIVER_END / TWO_PI == k and TWO_PI * k < SLIVER_END
+    for aligned in (False, True):
+        near, walk, lobe = _side(SLIVER_END, 64, n, aligned=aligned)
+        assert walk == ([], [], [], []) and lobe is None
+        u, w, s = (np.concatenate(a) for a in zip(*near))
+        assert u.size == w.size == s.size == (k + 1) * n
+        cut_u, cut_w = _one_panel(TWO_PI * k, SLIVER_END, n)
+        assert _same_bits(u[-n:], cut_u) and _same_bits(w[-n:], cut_w)
+
+
 @pytest.mark.parametrize("near_lobes, n", [(1, 15), (4, 7), (64, 15)])
 def test_sliced_near_region_matches_the_built_one_bit_for_bit(near_lobes, n):
     for lo, hi in _near_cases(near_lobes):
         u, w, s = _near_region(lo, hi, near_lobes, n)
         ref_u, ref_w = _panel_nodes(_reference_near_edges(lo, hi), n)
-        assert _same_bits(u, ref_u), (lo, hi)
+        # at a subnormal lo the nodes of the lobe (lo, 0) round to zero, and the
+        # mirrored ones may carry the other sign; + 0.0 clears only that sign
+        assert _same_bits(u + 0.0, ref_u + 0.0), (lo, hi)
         assert _same_bits(w, ref_w), (lo, hi)
         assert _same_bits(s, sinc_sq(0.5 * ref_u)), (lo, hi)
     # a side's whole near region is a slice of its cached nodes
     lobe_k = TWO_PI * near_lobes
-    (whole,) = _side(lobe_k, near_lobes, n, aligned=False)[0]
+    (whole,) = _side(lobe_k + 0.5, near_lobes, n, aligned=False)[0]
     for got, cached in zip(whole, _side_nodes(near_lobes, n, 1)):
         assert np.shares_memory(got, cached)
         assert _same_bits(got, cached[:near_lobes * n])
