@@ -44,9 +44,11 @@ _MAX_SWEEP_POINTS = 1_000_000
 
 
 def dumps_json(doc: dict) -> str:
-    """One flat JSON object; its floats keep 17 significant digits."""
-    items = (f"{json.dumps(k)}: {v:.17g}" if isinstance(v, float)
-             else f"{json.dumps(k)}: {json.dumps(v)}" for k, v in doc.items())
+    """One flat JSON object; its floats keep 17 significant digits, and a
+    non-finite float, which JSON cannot hold, is null."""
+    items = (f"{json.dumps(k)}: {v:.17g}" if isinstance(v, float) and math.isfinite(v)
+             else f"{json.dumps(k)}: {json.dumps(None if isinstance(v, float) else v)}"
+             for k, v in doc.items())
     return "{" + ", ".join(items) + "}"
 
 

@@ -15,10 +15,9 @@ kernel is split as sinc^2(u/2) = 2(1 - cos u)/u^2, the smooth 2 R/u^2 part
 is integrated exactly, and the oscillatory cosine part - whose panel
 boundaries sit on sinc zeros - telescopes to endpoint derivative terms
 that are added to the error estimate instead of the result.  The walk
-stops once a panel contributes less than ``rel_tol`` of the running sum
-and the inverse-square envelope bound on the remainder is equally small;
-a hard truncation with a power-law remainder bound applies at
-``max_omega_factor`` times the cutoff.
+runs to a hard truncation at ``max_omega_factor`` times the cutoff, beyond
+which a power-law envelope bounds the remainder; the result is
+``converged`` when that bound is below ``rel_tol`` of the rate.
 
 Each point makes one reservoir call.  The geometry is built for one side
 of resonance, from u = 0 outwards, and the side below is its mirror image:
@@ -34,12 +33,9 @@ that holds the end is cut, and the panels below it are slices of the
 cached ones; a partial lobe then reaches omega = 0 or a band edge.  A
 point gathers its nodes in two blocks, one per side, negates the block
 below once, and the full-kernel nodes of both sides meet in the middle.
-sinc^2(u/2) R runs once over those and 2 R/u^2 once over each side's walk
-and shifted bounds; each part then reduces over its own contiguous slice,
-in increasing u, with the same numpy call over the same length as a
-per-region evaluation would, so the results do not depend on how the nodes
-are gathered.  The stopping rule scans the panel sums in Python floats,
-which add as np.cumsum does.
+The integrand is sinc^2(u/2) R over those and 2 R/u^2 over each side's
+walk and shifted bounds, and one dot product with the weights sums every
+node the point evaluates.
 
 The closed form (``analytic_rate``) is one Beta-function tail summed over
 the reservoir's ``term_powers()`` and normalised by its ``leading_term()``;
@@ -50,7 +46,6 @@ reservoir's ``closed_form``; a reservoir without one has no closed form.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -83,7 +78,7 @@ class QuadratureConfig:
 
     near_lobes       : sinc^2 lobes integrated exactly on each side of resonance
     nodes_per_lobe   : Gauss-Legendre order per lobe / far-field panel
-    rel_tol          : relative stopping threshold for the far-field walk
+    rel_tol          : ``converged`` threshold on the truncation bound, relative to Gamma
     max_omega_factor : hard truncation at this multiple of the cutoff frequency
     """
 
@@ -263,15 +258,15 @@ def _gathered(near, walk, lobe, mirrored=False):
     return [[p[::-1] for p in block[::-1]] for block in blocks] if mirrored else blocks
 
 
-def _telescoped(shifted: np.ndarray, bounds: int | None = None) -> float:
-    """Bound on the cosine part of panels, from their first ``bounds`` bounds.
+def _telescoped(shifted: np.ndarray) -> float:
+    """Bound on the cosine part of a side's far-field walk.
 
     ``shifted`` holds the smooth part 2 R/u^2 at the panel bounds shifted
     by +1/2, then at those shifted by -1/2; their centered differences dh
     are what the cosine integrals telescope to.  Zero without panels.
     """
     half = shifted.size // 2
-    dh = shifted[:half][:bounds] - shifted[half:][:bounds]
+    dh = shifted[:half] - shifted[half:]
     return float(abs(dh[0]) + abs(dh[-1]) + np.abs(dh[1:] - dh[:-1]).sum()) if dh.size else 0.0
 
 
@@ -340,7 +335,7 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
     u_below, w_below, s_below = _gathered(near_below, walk_below, tail, mirrored=True)
     u_above, w_above, s_above = _gathered(near_above, walk_above, edge)
     nodes_below, nodes_above = (sum(map(len, walk[0])) for walk in (walk_below, walk_above))
-    bounds_below, bounds_above = (sum(map(len, walk[2])) for walk in (walk_below, walk_above))
+    shifted_below, shifted_above = (2 * sum(map(len, walk[2])) for walk in (walk_below, walk_above))
     u = np.concatenate(u_below + u_above)
     w = np.concatenate(w_below + w_above)
     mirrored = u[:sum(map(len, u_below))]
@@ -350,49 +345,21 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
     # a callable may return one value for all frequencies, as a flat spectrum can
     if np.shape(r) != omega.shape:
         r = np.broadcast_to(r, omega.shape)
-    lo, hi = 2 * bounds_below + nodes_below, u.size - 2 * bounds_above - nodes_above
-    kr = np.concatenate(s_below + s_above) * r[lo:hi]
-    w_full = w[nodes_below:w.size - nodes_above]
-    # far out at tiny nu u^2 overflows, and 2 R/u^2 -> 0 is the right limit
+    # the integrand: sinc^2(u/2) R over the full-kernel nodes, 2 R/u^2 over the
+    # walks and shifted bounds; far out at tiny nu u^2 overflows, and 2 R/u^2 -> 0
+    # is the right limit
+    lo, hi = shifted_below + nodes_below, u.size - shifted_above - nodes_above
     with np.errstate(over="ignore"):
-        smooth_below = 2.0 * r[:lo] / (u[:lo] * u[:lo])
-        smooth_above = 2.0 * r[hi:] / (u[hi:] * u[hi:])
+        below, above = (2.0 * r[p] / (u[p] * u[p]) for p in (slice(lo), slice(hi, u.size)))
+    f = np.concatenate([below, *s_below, *s_above, above])
+    f[lo:hi] *= r[lo:hi]
 
-    near = slice(n if tail else 0, kr.size - (n if edge else 0))
-    gamma_near = float(np.dot(kr[near], w_full[near]))
-
-    # --- far region below resonance, then the final partial lobe -------------
-    gamma_below = float(np.dot(smooth_below[2 * bounds_below:], w[:nodes_below])) \
-        if nodes_below else 0.0
-    if tail:
-        gamma_below += float(np.dot(kr[:n], w_full[:n]))
-    err_abs = _telescoped(smooth_below[:2 * bounds_below])
-
-    # --- far region above resonance, then the partial lobe at the band edge:
-    # stop at the first panel that is small and leaves a small remainder bound
-    beyond = 0.0 if truncated_by_support else _beyond_truncation_bound(
-        terms, mu, omega_x, omega0, nu, omega_max)
-    panels = (smooth_above[:nodes_above] * w[w.size - nodes_above:]).reshape(-1, n).sum(axis=1)
-    panels = panels.tolist() + ([float(np.dot(kr[-n:], w_full[-n:]))] if edge else [])
-    # sequential sums, as np.cumsum adds
-    prefix = list(itertools.accumulate(panels, initial=0.0))
-    base = gamma_near + gamma_below
-    stop = len(panels)
-    for i, panel in enumerate(panels, 1):
-        threshold = cfg.rel_tol * (base + prefix[i])
-        if panel < threshold and 2.0 * (prefix[-1] - prefix[i]) + beyond < threshold:
-            stop = i
-            break
-    gamma_above = prefix[stop]
-    # the remainder bound is the truncation bound alone when no panel lies above
-    remainder_bound = 2.0 * (prefix[-1] - gamma_above) + beyond
-    err_abs += remainder_bound
-    converged = stop < len(panels) or remainder_bound < cfg.rel_tol * (base + gamma_above)
-    err_abs += _telescoped(smooth_above[nodes_above:], stop + 1)
-
-    gamma = gamma_near + gamma_below + gamma_above
+    gamma = float(np.dot(f[shifted_below:u.size - shifted_above], w))
     if not (gamma > 0 and math.isfinite(gamma)):
         raise NumericalError("quadrature produced a non-positive modified rate")
+    beyond = 0.0 if truncated_by_support else _beyond_truncation_bound(
+        terms, mu, omega_x, omega0, nu, omega_max)
+    err_abs = _telescoped(f[:shifted_below]) + _telescoped(f[u.size - shifted_above:]) + beyond
 
     return DecayResult(
         ratio=gamma / gamma0,
@@ -400,7 +367,7 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
         method=METHOD_QUADRATURE,
         err_estimate=err_abs / gamma + 1e-14,
         rwa_warning=nu >= omega0,
-        converged=converged,
+        converged=beyond < cfg.rel_tol * gamma,
     )
 
 

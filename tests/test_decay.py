@@ -403,8 +403,9 @@ def test_quadrature_vanishing_free_rate():
 
 
 def test_quadrature_unconverged_heavy_tail():
-    # slowly decaying reservoir with an early truncation point: the
-    # stopping rule cannot be met and the result is flagged
+    # slowly decaying reservoir with an early truncation point: the bound
+    # on the integral beyond the truncation exceeds rel_tol and the result
+    # is flagged
     r = SimpleReservoir(d=1.0, eta=5, mu=4, omega_x=50.0)
     cfg = QuadratureConfig(max_omega_factor=10.0)
     res = modified_rate_quadrature(r, 1.0, MeasurementSchedule(nu=1e-2), cfg)
@@ -451,6 +452,18 @@ def test_err_estimate_bounds_the_error(transition):
         res = modified_rate_quadrature(reservoir, omega0, m)
         tight = modified_rate_quadrature(reservoir, omega0, m, TIGHT).ratio
         assert abs(res.ratio - tight) / tight <= res.err_estimate, nu
+
+
+@pytest.mark.parametrize("transition", ["2P-1S", "3D-1S", "4F-1S"])
+def test_rel_tol_only_sets_the_convergence_threshold(transition):
+    # every evaluated node is summed, so a looser tolerance moves no bit
+    reservoir, omega0 = builtin_transition(transition)
+    loose = QuadratureConfig(rel_tol=1e-3)
+    for nu in (1e-7, 1e-4, 1e-2):
+        m = MeasurementSchedule(nu=nu)
+        want = modified_rate_quadrature(reservoir, omega0, m)
+        got = modified_rate_quadrature(reservoir, omega0, m, loose)
+        assert (got.ratio, got.err_estimate) == (want.ratio, want.err_estimate), nu
 
 
 def test_truncation_bound_decides_convergence_when_no_panel_lies_above():

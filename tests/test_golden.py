@@ -27,6 +27,18 @@ over ``json.dumps``: ``python tests/test_golden.py cli-json``.
 gathered in one block of nodes per kernel: ``python tests/test_golden.py
 quadrature-grid``.
 
+When the far-field walk lost its stopping rule and each point came to sum
+every node it evaluates, every quadrature output was re-recorded from that
+quadrature: ``quadrature.json``, ``quadrature-grid.json``, ``cli-json.txt``
+(``python tests/test_golden.py {quadrature,quadrature-grid,cli-json}``),
+the three CSV files (the commands of ``CLI_CASES``), and ``ratio_quadrature``
+and ``rel_difference`` of oracle points 0 and 2, where the sum moved by an
+ulp; the oracle ratios are still as first recorded.  A ratio moved by at
+most 5e-10 of itself, into the share of the rate that the stop had dropped
+and charged twice to ``err_estimate``; no ``converged`` flag changed.  The
+``sinking`` case now returns a ratio at nu = 1e-8 to 1e-3: there the stop
+dropped a negative band, which made the error estimate negative.
+
 To record a golden JSON file from a source tree, put that tree's ``src``
 first on ``PYTHONPATH`` and run ``python tests/test_golden.py quadrature``
 (or ``quadrature-grid``, ``oracle_ed`` or ``oracle_rk4``).
@@ -108,8 +120,8 @@ def _plain(omega):
 
 
 def _sinking(omega):
-    # a deep negative band at 5-6 omega0: at most nu of the grid the
-    # quadrature's modified rate is negative (NumericalError), at some not
+    # a deep negative band at 5-6 omega0: at nu = 0.1 and 1 the quadrature's
+    # modified rate is negative (NumericalError), at the other nu of the grid not
     w = np.asarray(omega, dtype=float)
     return np.where(w < 5.0, 1.0, np.where(w <= 6.0, -1000.0, 0.0))
 

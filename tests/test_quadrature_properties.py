@@ -5,7 +5,7 @@ import math
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zenoscope.decay import modified_rate_quadrature
+from zenoscope.decay import QuadratureConfig, modified_rate_quadrature
 from zenoscope.errors import ZenoscopeError
 from zenoscope.profile import MeasurementSchedule
 from zenoscope.reservoir import FullReservoir, eta_for
@@ -28,9 +28,9 @@ def _reservoirs(draw):
                          omega_x=draw(st.floats(10.0, 1e4)), j_range=(j_min, j_max))
 
 
-def _nus(high=1.0):
-    """nu log-uniform in [1e-10, 10**high]."""
-    return st.floats(-10.0, high).map(lambda e: 10.0 ** e)
+def _nus(high=1.0, low=-10.0):
+    """nu log-uniform in [10**low, 10**high]."""
+    return st.floats(low, high).map(lambda e: 10.0 ** e)
 
 
 def _scaled(res, d=1.0, omega=1.0):
@@ -89,3 +89,17 @@ def test_ratio_grows_with_nu_when_every_power_exceeds_one(res, nus):
     assume(not isinstance(r1, type) and not isinstance(r2, type))
     slack = r1.err_estimate * r1.ratio + r2.err_estimate * r2.ratio
     assert r2.ratio >= r1.ratio - slack
+
+
+# the reference configuration of test_decay's error-estimate check
+TIGHT = QuadratureConfig(near_lobes=1024, nodes_per_lobe=41, rel_tol=1e-13,
+                         max_omega_factor=1000.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_reservoirs(), _nus(high=-1.0, low=-8.0))
+def test_a_converged_ratio_lies_within_its_error_estimate(res, nu):
+    out = _rate(res, 1.0, nu)
+    assume(not isinstance(out, type) and out.converged)
+    tight = modified_rate_quadrature(res, 1.0, MeasurementSchedule(nu), TIGHT).ratio
+    assert abs(out.ratio - tight) <= out.err_estimate * tight
