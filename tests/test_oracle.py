@@ -12,7 +12,7 @@ from zenoscope.errors import DomainError, NumericalError
 from zenoscope.oracle import (
     _arrowhead_eigensystem,
     _auto_coupling_scale,
-    _pass_map,
+    _rk4_series,
     _survival_rk4,
     BandLimitedReservoir,
     DiscretizedModes,
@@ -248,7 +248,7 @@ def test_rk4_matches_stagewise_loop(seed, timing):
     g = rng.uniform(-3e-2, 3e-2, n) * (rng.uniform(size=n) > 0.3)
     modes, omega0 = DiscretizedModes(omega=omega, g=g), float(rng.uniform(0.5, 2.5))
     stability = 0.1 / np.max(np.abs(omega - omega0))
-    # remainder-r: 16 + r steps of dt, four full passes and then one of r steps
+    # remainder-r: 16 + r steps of dt, r of them past a multiple of four
     tau, dt = {"stability": (30.0, None),
                "explicit-dt": (10.0, 0.3 * stability),
                "four-step-floor": (0.5 * stability, None),
@@ -265,67 +265,91 @@ def test_rk4_matches_stagewise_loop(seed, timing):
     assert res.norm_drift == pytest.approx(drift_ref, rel=1e-6, abs=1e-14)
 
 
-def _one_step_map(s):
-    """Reference: the 5x5 one-step map as first written, on s_0..s_2."""
-    unit = np.eye(5)
-    alpha, c = unit[0], np.zeros((4, 5))
-    step_map = np.zeros((5, 5), dtype=np.complex128)
-    for j in range(1, 5):
-        alpha, c = unit[j] + s[:3] @ c[:3], np.vstack((alpha, c[:3]))
-        coef = (-1j) ** j / math.factorial(j)
-        step_map[0] += coef * alpha
-        step_map[1:] += coef * c
-    return step_map
+def _rk4_power(y, n_steps):
+    """Reference: RK4's n-step amplitude p(-iy)^n, powered in long double."""
+    z = -1j * np.asarray(y, dtype=np.longdouble)
+    return (1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))) ** n_steps
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_pass_map_matches_single_steps(seed):
-    # X = h delta inside the stability bound and G = h g, on 50 modes
+@pytest.mark.parametrize("seed", range(4))
+def test_rk4_series_matches_the_propagator(seed):
+    # on an interval holding 0, out to the stability default |h lam| <= 0.1
+    # and a little past it, as the coupling norm widens the interval
     rng = np.random.default_rng(seed)
-    x, g = rng.uniform(-0.1, 0.1, 50), rng.uniform(-0.05, 0.05, 50)
-    a0 = complex(*rng.normal(size=2))
-    b0 = rng.normal(size=50) + 1j * rng.normal(size=50)
-    basis = np.empty((16, 50))
-    basis[0] = g
-    for i in range(1, 16):
-        basis[i] = basis[i - 1] * x
-    s = basis[:15] @ g
-    q = sum((-1j * x) ** j / math.factorial(j) for j in range(5))
-    assert np.array_equal(_pass_map(s, 1), _one_step_map(s))
-    a, b = a0, b0
-    for k in range(1, 5):
-        # one step, sum_{j<=4} (-i hH)^j / j! with hH (a, b) = (G.b, G a + X b)
-        va, vb = a, b
-        for j in range(1, 5):
-            va, vb = -1j * (g @ vb), -1j * (g * va + x * vb)
-            a, b = a + va / math.factorial(j), b + vb / math.factorial(j)
-        update = _pass_map(s, k) @ np.concatenate(([a0], basis[:4 * k] @ b0))
-        got = np.concatenate(([a0 + update[0]], q ** k * b0 + update[1:] @ basis[:4 * k]))
-        want = np.concatenate(([a], b))
-        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+    lo, hi = -rng.uniform(0.1, 3.0), rng.uniform(0.1, 30.0)
+    h = rng.uniform(0.05, 0.12) / max(-lo, hi)
+    n_steps = int(rng.integers(4, 20_000))
+    center, radius = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    amp, loss = _rk4_series(h, n_steps, center, radius)
+    x = rng.uniform(-1.0, 1.0, 200)
+    want = _rk4_power(h * (center + radius * x.astype(np.longdouble)), n_steps)
+    got = np.polynomial.chebyshev.chebval(x, amp)
+    assert np.max(np.abs(got - want.astype(np.complex128))) <= 1e-13
+    got_norm = 1.0 - np.polynomial.chebyshev.chebval(x, loss.real)
+    assert np.max(np.abs(got_norm - (np.abs(want) ** 2).astype(float))) <= 1e-13
 
 
-@pytest.mark.parametrize("nu", [1e-2, 3e-2])
-@pytest.mark.parametrize("eta", [1, 3])
-def test_rk4_reproduces_the_exact_discrete_solution(eta, nu):
+def _exact_discrete_survival(modes, tau):
+    """-ln P of the exact RK4 solution, summed over the eigenpairs of H."""
     # The RK4 propagator of y' = -iHy is R(-ihH) with R(z) = sum_{j<=4} z^j/j!,
     # so a_n = sum_j w_j R(-ih lam_j)^n over H's eigenpairs.  |R(iy)|^2 is
     # 1 - y^6/72 + y^8/576 exactly; its logarithm and R's phase are taken
     # apart so that the n-th power keeps every digit.
-    tau, band = 1.0 / nu, (0.0, 1.0 + 1e3 * nu)
-    modes = discretize_reservoir(_desk_reservoir(eta), OracleConfig(n_modes=2000, band=band))
-    scale = _auto_coupling_scale(modes, 1.0, tau, nu)
-    modes = DiscretizedModes(omega=modes.omega, g=modes.g * math.sqrt(scale))
     n_steps, h = _rk4_steps(modes.omega - 1.0, tau)
     lam, weights = _arrowhead_eigensystem(modes, 1.0)
     y = h * lam
     log_modulus = 0.5 * np.log1p(y ** 4 * (y ** 4 / 576.0 - y ** 2 / 72.0))
     phase = np.arctan2(-(y - y ** 3 / 6.0), 1.0 - y ** 2 / 2.0 + y ** 4 / 24.0)
     amp = np.sum(weights * np.exp(n_steps * (log_modulus + 1j * phase)))
-    want = -math.log(abs(amp) ** 2)
+    return -math.log(abs(amp) ** 2)
+
+
+def _desk_modes(eta, nu, n_modes):
+    """The oracle's modes at omega0 = 1, coupling scale applied, and tau."""
+    tau, band = 1.0 / nu, (0.0, 1.0 + 1e3 * nu)
+    modes = discretize_reservoir(_desk_reservoir(eta), OracleConfig(n_modes=n_modes, band=band))
+    scale = _auto_coupling_scale(modes, 1.0, tau, nu)
+    return DiscretizedModes(omega=modes.omega, g=modes.g * math.sqrt(scale)), tau
+
+
+@pytest.mark.parametrize("eta, nu, n_modes", [
+    pytest.param(1, 1e-2, 2000, id="1-0.01"),
+    pytest.param(1, 3e-2, 2000, id="1-0.03"),
+    pytest.param(3, 1e-2, 2000, id="3-0.01"),
+    pytest.param(3, 3e-2, 2000, id="3-0.03"),
+    # the golden point with the smallest loss, where rounding weighs most in -ln P
+    pytest.param(3, 3e-2, 10_000, id="3-0.03-10000"),
+])
+def test_rk4_reproduces_the_exact_discrete_solution(eta, nu, n_modes):
+    modes, tau = _desk_modes(eta, nu, n_modes)
     got = -math.log(survival_probability(modes, 1.0, tau, OracleConfig(
-        n_modes=2000, band=band, method="rk4")).probability)
-    assert got == pytest.approx(want, rel=1e-10, abs=0)
+        n_modes=n_modes, method="rk4")).probability)
+    assert got == pytest.approx(_exact_discrete_survival(modes, tau), rel=1e-10, abs=0)
+
+
+def test_rk4_converges_onto_exact_diagonalization_as_the_step_shrinks():
+    # the global error falls as h^4 until rounding: 5.9e-11 at the default
+    # step, 2.2e-13 at a quarter of it and 6.9e-15 at 1/64 of it
+    modes, tau = _desk_modes(3, 3e-2, 2000)
+    p_ed = survival_probability(modes, 1.0, tau, OracleConfig(
+        n_modes=2000, method="exact_diagonalization")).probability
+    step = 0.1 / np.max(np.abs(modes.omega - 1.0))
+    gaps = [abs(_survival_rk4(modes, 1.0, tau, dt).probability - p_ed)
+            for dt in (None, step / 4.0, step / 64.0)]
+    assert gaps[0] >= 100.0 * gaps[1]
+    assert gaps[2] <= 1e-13
+
+
+def test_rk4_memory_stays_linear():
+    # the moments hold five mode vectors; the series is O(tau * band) long
+    modes, tau = _desk_modes(3, 1e-2, 10_000)
+    tracemalloc.start()
+    try:
+        _survival_rk4(modes, 1.0, tau, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 10_000
 
 
 # ---------------------------------------------------------------------------
