@@ -29,16 +29,10 @@ from .oracle import (
     oracle_vs_quadrature,
     survival_probability,
 )
-from .profile import (
-    MeasurementSchedule,
-    profile_eval,
-    profile_resonant_approx,
-    profile_tail_approx,
-)
+from .profile import MeasurementSchedule, profile_eval
 from .reservoir import (
-    CONSTANTS,
+    ALPHA,
     FullReservoir,
-    PhysicalConstants,
     SimpleReservoir,
     Transition,
     builtin_names,

@@ -26,9 +26,8 @@ from .experiment_ca import ca_estimate
 from .oracle import OracleConfig, oracle_vs_quadrature
 from .profile import MeasurementSchedule
 from .reservoir import (
+    ALPHA,
     BUILTIN_QUANTUM_NUMBERS,
-    CONSTANTS,
-    PhysicalConstants,
     SimpleReservoir,
     builtin_names,
     builtin_transition,
@@ -176,11 +175,12 @@ def cmd_figure2(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    consts = CONSTANTS if args.alpha is None else PhysicalConstants(alpha=args.alpha)
+    alpha = ALPHA if args.alpha is None else args.alpha
+    # every ratio before the header, so that a bad alpha prints nothing
+    ratios = {name: 1.0 / frequency_ratio(t, alpha) for name, t in BUILTIN_QUANTUM_NUMBERS.items()}
     print(TABLE1_HEADER)
-    for name, t in BUILTIN_QUANTUM_NUMBERS.items():
+    for name, ratio in ratios.items():
         reservoir, _ = builtin_transition(name)
-        ratio = 1.0 / frequency_ratio(t, consts)
         print(f"{name}\t{reservoir.eta}\t{reservoir.mu}\t{ratio:.4g}")
     return 0
 

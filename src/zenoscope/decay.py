@@ -23,19 +23,20 @@ Each point makes one reservoir call.  The geometry is built for one side
 of resonance, from u = 0 outwards, and the side below is its mirror image:
 the same pieces, each reversed and with u negated.  The mirror is exact,
 because the Gauss-Legendre nodes are antisymmetric, their weights
-symmetric and sinc^2 even.  What is the same in u for every nu is built
-once per configuration: the side's panel bounds - its ``near_lobes`` lobe
-multiples, then every boundary of the far-field walk up to where the next
-would overflow - and those bounds shifted by +1/2 and -1/2, and the nodes
-and weights of its panels with sinc^2(u/2) at the near-lobe nodes.  Only
-where each side ends depends on nu, and one rule cuts it there: the panel
-that holds the end is cut, and the panels below it are slices of the
-cached ones; a partial lobe then reaches omega = 0 or a band edge.  A
-point gathers its nodes in two blocks, one per side, negates the block
-below once, and the full-kernel nodes of both sides meet in the middle.
-The integrand is sinc^2(u/2) R over those and 2 R/u^2 over each side's
-walk and shifted bounds, and one dot product with the weights sums every
-node the point evaluates.
+symmetric and sinc^2 even.  The whole side is the same in u for every nu,
+so it is built once per configuration (``near_lobes``, ``nodes_per_lobe``):
+its panel bounds - its ``near_lobes`` lobe multiples, then every boundary
+of the far-field walk up to where the next would overflow - those bounds
+shifted by +1/2 and -1/2, the nodes and weights of every panel, and
+sinc^2(u/2) at the near-lobe nodes.  Only where each side ends depends on
+nu, and one rule cuts it there: the panel that holds the end is cut, and
+the panels below it are slices of the built ones; a partial lobe then
+reaches omega = 0 or a band edge.  One function, ``_side``, lists a side's
+pieces in the order a point gathers them; the side below is that list
+reversed piece by piece and negated once gathered, so the full-kernel
+nodes of both sides meet in the middle.  The integrand is sinc^2(u/2) R
+over those and 2 R/u^2 over each side's walk and shifted bounds, and one
+dot product with the weights sums every node the point evaluates.
 
 The closed form (``analytic_rate``) is one Beta-function tail summed over
 the reservoir's ``term_powers()`` and normalised by its ``leading_term()``;
@@ -163,13 +164,16 @@ def _one_panel(a: float, b: float, n: int):
 
 
 @functools.lru_cache(maxsize=8)
-def _side_bounds(near_lobes: int):
-    """One side's panel bounds, and those bounds shifted by +1/2 and -1/2, read-only.
+def _side_geometry(near_lobes: int, n: int):
+    """One side of resonance as far as the float range reaches, read-only.
 
-    The bounds are the lobe multiples 2 pi k for k < ``near_lobes``, then
-    the far-field walk from 2 pi near_lobes: each boundary is the lobe
-    multiple at or above the larger of 1.25 times and one lobe beyond the
-    last, until the next would overflow, so the walk covers every finite end.
+    Returns ``(edges, plus, minus, u, w, s)``: the panel bounds, those bounds
+    shifted by +1/2 and by -1/2, the GL nodes and weights of every panel, and
+    sinc^2(u/2) at the near-lobe nodes.  The bounds are the lobe multiples
+    2 pi k for k < ``near_lobes``, then the far-field walk from 2 pi
+    near_lobes: each boundary is the lobe multiple at or above the larger of
+    1.25 times and one lobe beyond the last, until the next would overflow,
+    so the walk covers every finite end.
     """
     edges = [_TWO_PI * k for k in range(near_lobes + 1)]
     while True:
@@ -179,83 +183,59 @@ def _side_bounds(near_lobes: int):
             break
         edges.append(nxt)
     edges = np.asarray(edges)
-    arrays = (edges, edges + 0.5, edges - 0.5)
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-@functools.lru_cache(maxsize=64)
-def _side_nodes(near_lobes: int, n: int, panels: int):
-    """GL nodes and weights of the near lobes and the first ``panels`` walk panels
-    of one side, and sinc^2(u/2) at the near-lobe nodes, read-only."""
-    # panels past the walk a point asked for may overflow at the top of the float range
+    # the midpoints of the last panels overflow at the top of the float range
     with np.errstate(over="ignore"):
-        u, w = _panel_nodes(_side_bounds(near_lobes)[0][:near_lobes + panels + 1], n)
-    arrays = (u, w, sinc_sq(0.5 * u[:near_lobes * n]))
+        u, w = _panel_nodes(edges, n)
+    arrays = (edges, edges + 0.5, edges - 0.5, u, w, sinc_sq(0.5 * u[:near_lobes * n]))
     for a in arrays:
         a.flags.writeable = False
     return arrays
 
 
-def _cut_lobe(a: float, b: float, n: int):
-    """Nodes, weights and sinc^2(u/2) of the single panel [a, b].
+def _side(d: float, near_lobes: int, n: int, aligned: bool, mirrored: bool = False):
+    """One side of resonance, from u = 0 out to the distance ``d`` > 0, in the
+    order a point gathers it.
 
-    It builds every full-kernel lobe not sliced from ``_side_nodes``: the
-    near lobe cut at a clipped end, and the partial lobe beyond the walk.
+    Returns ``(u, w, s, walk, shifted)``.  ``u`` lists the pieces of every u
+    at which the side evaluates R; from u = 0 outwards:
+
+    - the full-kernel nodes: the near region up to min(d, 2 pi near_lobes),
+      its whole lobes a slice of ``_side_geometry``, then the lobe cut at d
+      if d falls inside it; then the partial lobe beyond the walk, if any;
+    - the far-field walk's nodes, empty inside the near region.  Beyond it
+      the walk is cut at d, or, when ``aligned``, at the lobe multiple below
+      d, and the partial lobe runs from that multiple to d;
+    - the walk's bounds shifted by +1/2, then by -1/2.
+
+    ``w`` lists the weights of the full-kernel and walk nodes, ``s``
+    sinc^2(u/2) at the full-kernel nodes, and ``walk`` and ``shifted`` count
+    the walk's nodes and shifted bounds.  One rule cuts both regions: the
+    panel that holds the end is cut there, and the panels below it are
+    whole.  ``mirrored`` gives the side below resonance, its u not yet
+    negated: each list in the other order, and each piece reversed.
     """
-    u, w = _one_panel(a, b, n)
-    return u, w, sinc_sq(0.5 * u)
-
-
-def _side(d: float, near_lobes: int, n: int, aligned: bool):
-    """One side of resonance, from u = 0 out to the distance ``d`` > 0.
-
-    Returns ``(near, walk, lobe)``, each in increasing u:
-
-    - ``near``: the near region up to min(d, 2 pi near_lobes), as
-      ``(u, weights, sinc^2(u/2))`` pieces: its whole lobes, a slice of
-      ``_side_nodes``, then the lobe cut at d if d falls inside the region;
-    - ``walk``: lists of the pieces of the far-field walk's nodes, weights
-      and bounds shifted by +1/2 and by -1/2, empty inside the near region.
-      Beyond it the walk is cut at d, or, when ``aligned``, at the lobe
-      multiple below d;
-    - ``lobe``: the full-kernel partial lobe from that multiple to d, or None.
-
-    One rule cuts both regions: the panel of the side's bounds that holds
-    the end is cut there, and the panels below it are whole.  The side
-    below resonance is the mirror image: the same pieces, each reversed
-    and with u negated.
-    """
-    edges, plus, minus = _side_bounds(near_lobes)
+    edges, plus, minus, u, w, s = _side_geometry(near_lobes, n)
     lobe_k = _TWO_PI * near_lobes
     end = max(lobe_k, _TWO_PI * math.floor(d / _TWO_PI)) if aligned and d > lobe_k else d
     k = int(edges.searchsorted(end))
-    # cache the next power of two >= the walk's whole panels: few sizes, at most twice the need
-    u, w, s = _side_nodes(near_lobes, n, 1 << max(k - near_lobes - 2, 0).bit_length())
     whole = min(k - 1, near_lobes) * n
-    near = [(u[:whole], w[:whole], s[:whole])]
-    walk = [], [], [], []
+    cut_u, cut_w = _one_panel(float(edges[k - 1]), end, n)
+    full = [(u[:whole], w[:whole], s[:whole])]
     if k <= near_lobes:
-        near.append(_cut_lobe(float(edges[k - 1]), end, n))
-    else:
-        cut_u, cut_w = _one_panel(float(edges[k - 1]), end, n)
-        walk = ([u[whole:(k - 1) * n], cut_u], [w[whole:(k - 1) * n], cut_w],
-                [plus[near_lobes:k], (end + 0.5,)], [minus[near_lobes:k], (end - 0.5,)])
-    return near, walk, _cut_lobe(end, d, n) if end < d else None
-
-
-def _gathered(near, walk, lobe, mirrored=False):
-    """A side's u, weight and sinc^2(u/2) pieces in the order a point gathers them.
-
-    From u = 0 outwards: the near lobes, the partial lobe, the walk, then
-    its bounds shifted by +1/2 and by -1/2; ``mirrored``, the other way
-    round with each piece reversed.
-    """
-    full_u, full_w, full_s = zip(*near, *([lobe] if lobe else []))
-    walk_u, walk_w, plus, minus = walk
-    blocks = [*full_u, *walk_u, *plus, *minus], [*full_w, *walk_w], list(full_s)
-    return [[p[::-1] for p in block[::-1]] for block in blocks] if mirrored else blocks
+        full.append((cut_u, cut_w, sinc_sq(0.5 * cut_u)))
+    if end < d:
+        lobe_u, lobe_w = _one_panel(end, d, n)
+        full.append((lobe_u, lobe_w, sinc_sq(0.5 * lobe_u)))
+    pieces = [list(p) for p in zip(*full)]
+    walk = shifted = 0
+    if k > near_lobes:
+        pieces[0] += [u[whole:(k - 1) * n], cut_u, plus[near_lobes:k], (end + 0.5,),
+                      minus[near_lobes:k], (end - 0.5,)]
+        pieces[1] += [w[whole:(k - 1) * n], cut_w]
+        walk, shifted = (k - near_lobes) * n, 2 * (k - near_lobes + 1)
+    if mirrored:
+        pieces = [[p[::-1] for p in block[::-1]] for block in pieces]
+    return (*pieces, walk, shifted)
 
 
 def _telescoped(shifted: np.ndarray) -> float:
@@ -321,21 +301,14 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
                           "range in units of nu overflows")
     n = cfg.nodes_per_lobe
 
-    # --- panels in u, one reservoir call over two blocks in increasing u ------
-    # Near resonance every lobe is integrated exactly with the full kernel
-    # sinc^2(u/2) R, and so are the partial lobes down to omega = 0 (``tail``)
-    # and up to a band edge (``edge``).  Each far-field walk takes the smooth
-    # part 2 R/u^2 at its nodes and, for the error bound, half a unit either
-    # side of its panel bounds.  The side below is a side above mirrored: its
-    # +1/2 and -1/2 bounds, walk, tail and near lobes, negated once gathered
-    # (a -1/2 shift below is a negated +1/2 shift above).  Then the side
-    # above: its near lobes, edge lobe, walk, +1/2 and -1/2 bounds.
-    near_below, walk_below, tail = _side(-u_min, cfg.near_lobes, n, aligned=True)
-    near_above, walk_above, edge = _side(u_max, cfg.near_lobes, n, aligned=truncated_by_support)
-    u_below, w_below, s_below = _gathered(near_below, walk_below, tail, mirrored=True)
-    u_above, w_above, s_above = _gathered(near_above, walk_above, edge)
-    nodes_below, nodes_above = (sum(map(len, walk[0])) for walk in (walk_below, walk_above))
-    shifted_below, shifted_above = (2 * sum(map(len, walk[2])) for walk in (walk_below, walk_above))
+    # --- both sides in u, one reservoir call --------------------------------
+    # The side below, mirrored, then the side above (``_side``): the shifted
+    # bounds and walk below, the full-kernel nodes of both sides, then the
+    # walk and shifted bounds above.
+    u_below, w_below, s_below, walk_below, shifted_below = _side(
+        -u_min, cfg.near_lobes, n, aligned=True, mirrored=True)
+    u_above, w_above, s_above, walk_above, shifted_above = _side(
+        u_max, cfg.near_lobes, n, aligned=truncated_by_support)
     u = np.concatenate(u_below + u_above)
     w = np.concatenate(w_below + w_above)
     mirrored = u[:sum(map(len, u_below))]
@@ -348,7 +321,7 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
     # the integrand: sinc^2(u/2) R over the full-kernel nodes, 2 R/u^2 over the
     # walks and shifted bounds; far out at tiny nu u^2 overflows, and 2 R/u^2 -> 0
     # is the right limit
-    lo, hi = shifted_below + nodes_below, u.size - shifted_above - nodes_above
+    lo, hi = shifted_below + walk_below, u.size - shifted_above - walk_above
     with np.errstate(over="ignore"):
         below, above = (2.0 * r[p] / (u[p] * u[p]) for p in (slice(lo), slice(hi, u.size)))
     f = np.concatenate([below, *s_below, *s_above, above])

@@ -10,7 +10,7 @@ target fractional reduction.
 The transition frequency is the measured value, not a Bohr formula: the
 ion is only approximately hydrogenic.  The cutoff is computed from the
 same hydrogenic-cutoff helper used everywhere else, on the package's
-``CONSTANTS``, so there is a single source of truth for them.
+constants, so there is a single source of truth for them.
 """
 
 from __future__ import annotations

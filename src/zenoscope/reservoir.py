@@ -33,7 +33,7 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "PhysicalConstants",
+    "ALPHA",
     "Transition",
     "SimpleReservoir",
     "FullReservoir",
@@ -49,28 +49,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Fundamental constants (CODATA 2018 defaults), each finite and positive.
-
-    The cutoffs read ``CONSTANTS``; only :func:`frequency_ratio` takes others.
-
-    alpha : fine-structure constant (dimensionless)
-    c     : speed of light, m/s
-    a0    : Bohr radius, m
-    """
-
-    alpha: float = 7.2973525693e-3
-    c: float = 2.99792458e8
-    a0: float = 5.29177210903e-11
-
-    def __post_init__(self):
-        for name in ("alpha", "c", "a0"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise DomainError(f"constant {name} must be finite and positive")
-
-
-CONSTANTS = PhysicalConstants()
+# CODATA 2018: the fine-structure constant, the speed of light (m/s) and the
+# Bohr radius (m)
+ALPHA = 7.2973525693e-3
+_SPEED_OF_LIGHT = 2.99792458e8
+_BOHR_RADIUS = 5.29177210903e-11
 
 ELECTRIC = "electric"
 MAGNETIC = "magnetic"
@@ -140,7 +123,7 @@ def hydrogenic_cutoff(n_g: int, n_e: int, z: float) -> float:
         raise DomainError("principal quantum numbers must be >= 1")
     if not 0.0 < z < math.inf:
         raise DomainError(f"effective charge z must be finite and positive, got {z!r}")
-    return (1.0 / n_g + 1.0 / n_e) * (CONSTANTS.c / CONSTANTS.a0) * z
+    return (1.0 / n_g + 1.0 / n_e) * (_SPEED_OF_LIGHT / _BOHR_RADIUS) * z
 
 
 def cutoff_frequency(t: Transition) -> float:
@@ -148,14 +131,17 @@ def cutoff_frequency(t: Transition) -> float:
     return hydrogenic_cutoff(t.n_g, t.n_e, t.z)
 
 
-def frequency_ratio(t: Transition, consts: PhysicalConstants = CONSTANTS) -> float:
+def frequency_ratio(t: Transition, alpha: float = ALPHA) -> float:
     """Bohr transition frequency over cutoff frequency, (z alpha / 2)(1/n_g - 1/n_e).
 
-    Requires an emission transition with n_e > n_g.
+    Requires an emission transition with n_e > n_g, and a finite, positive
+    fine-structure constant ``alpha``.
     """
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"alpha must be finite and positive, got {alpha!r}")
     if t.n_e <= t.n_g:
         raise DomainError("frequency_ratio requires n_e > n_g (Bohr emission frequency)")
-    return 0.5 * t.z * consts.alpha * (1.0 / t.n_g - 1.0 / t.n_e)
+    return 0.5 * t.z * alpha * (1.0 / t.n_g - 1.0 / t.n_e)
 
 
 def eta_for(j: int, epsilon: int) -> int:

@@ -13,8 +13,7 @@ from zenoscope.decay import (
     _one_panel,
     _panel_nodes,
     _side,
-    _side_bounds,
-    _side_nodes,
+    _side_geometry,
     _tail_sum,
     analytic_rate,
     fgr_rate,
@@ -510,14 +509,27 @@ def _mirrored(u, w, plus, minus):
     return -u[::-1], w[::-1], -minus[::-1], -plus[::-1]
 
 
+def _split(side):
+    """A side above resonance, from its pieces in gather order: the nodes,
+    weights and sinc^2(u/2) of its full kernel, the nodes and weights of its
+    walk, and the walk's bounds shifted by +1/2 and by -1/2."""
+    pieces, (walk, shifted) = side[:3], side[3:]
+    u, w, s = (np.concatenate(p) for p in pieces)
+    full, half = s.size, shifted // 2
+    assert w.size == full + walk and u.size == full + walk + shifted
+    return (u[:full], w[:full], s, u[full:full + walk], w[full:],
+            u[full + walk:full + walk + half], u[full + walk + half:])
+
+
 @pytest.mark.parametrize("near_lobes", [1, 4, 64, 1024])
 def test_cached_walk_matches_the_loop_bit_for_bit(near_lobes):
     start, n = TWO_PI * near_lobes, 15
-    walk = _side_bounds(near_lobes)[0][near_lobes:]
+    near_u = _side_geometry(near_lobes, n)[3][:near_lobes * n]
+    walk = _side_geometry(near_lobes, n)[0][near_lobes:]
     last = len(walk) - 1
-    # every boundary up to 2^8 panels, each cache size 2^j and its neighbours,
-    # every 64th boundary and the last eight; all ~3,150 would run the loop
-    # about 2e7 times per start
+    # every boundary up to 2^8 panels, each 2^j with its neighbours, every
+    # 64th boundary and the last eight; all ~3,150 would run the loop about
+    # 2e7 times per start
     picked = set(range(1, 257)) | set(range(257, last, 64)) | set(range(last - 7, last + 1))
     picked |= {2 ** j + d for j in range(8, 12) for d in (-1, 0, 1, 2)} & set(range(1, last + 1))
     ends = {1e307}
@@ -533,34 +545,44 @@ def test_cached_walk_matches_the_loop_bit_for_bit(near_lobes):
             ref = _reference_walk(start, end, 1.25)
             # the boundaries below end are a prefix of the cached walk
             assert _same_bits(walk[:ref.size - 1], ref[:-1]), end
-            _, pieces, lobe = _side(end, near_lobes, n, aligned=False)
-            side = tuple(np.concatenate(a) for a in pieces)
-            assert lobe is None
-            for bounds, (u, w, plus, minus) in ((ref, side), (-ref[::-1], _mirrored(*side))):
+            side = _side(end, near_lobes, n, aligned=False)
+            full_u, _, _, u, w, plus, minus = _split(side)
+            # no partial lobe: the full kernel is the whole near region
+            assert _same_bits(full_u, near_u), end
+            for bounds, (u, w, plus, minus) in ((ref, (u, w, plus, minus)),
+                                                (-ref[::-1], _mirrored(u, w, plus, minus))):
                 ref_u, ref_w = _panel_nodes(bounds, n)
                 assert _same_bits(u, ref_u) and _same_bits(w, ref_w), (end, bounds[0])
                 assert _same_bits(plus, bounds + 0.5), (end, bounds[0])
                 assert _same_bits(minus, bounds - 0.5), (end, bounds[0])
+            # mirrored, the side is the same list reversed piece by piece
+            mirrored = _side(end, near_lobes, n, aligned=False, mirrored=True)
+            assert mirrored[3:] == side[3:]
+            for got, want in zip(mirrored[:3], side[:3]):
+                assert _same_bits(np.concatenate(got), np.concatenate(want)[::-1]), end
             # aligned, the walk stops at the lobe multiple below end and the
             # full-kernel partial lobe covers the rest
             multiple = max(start, TWO_PI * math.floor(end / TWO_PI))
-            _, aligned, lobe = _side(end, near_lobes, n, aligned=True)
+            full_u, full_w, full_s, *aligned = _split(_side(end, near_lobes, n, aligned=True))
             if multiple > start:
-                cut = _side(multiple, near_lobes, n, aligned=False)[1]
+                cut = _split(_side(multiple, near_lobes, n, aligned=False))[3:]
                 for got, want in zip(aligned, cut):
-                    assert _same_bits(np.concatenate(got), np.concatenate(want)), end
+                    assert _same_bits(got, want), end
             else:
-                assert aligned == ([], [], [], [])
+                assert all(a.size == 0 for a in aligned)
+            assert _same_bits(full_u[:near_u.size], near_u), end
+            lobe_u, lobe_w = full_u[near_u.size:], full_w[near_u.size:]
             if multiple < end:
                 ref_u, ref_w = _panel_nodes(np.array([multiple, end]), n)
-                assert _same_bits(lobe[0], ref_u) and _same_bits(lobe[1], ref_w), end
+                assert _same_bits(lobe_u, ref_u) and _same_bits(lobe_w, ref_w), end
+                assert _same_bits(full_s[near_u.size:], sinc_sq(0.5 * ref_u)), end
             else:
-                assert lobe is None
+                assert lobe_u.size == 0
 
 
 @pytest.mark.parametrize("near_lobes, n", [(1, 15), (4, 7), (64, 15), (1024, 41)])
 def test_mirrored_and_shifted_caches_are_read_only_and_exact(near_lobes, n):
-    edges, plus, minus = _side_bounds(near_lobes)
+    edges, plus, minus, u, w, s = _side_geometry(near_lobes, n)
     start = TWO_PI * near_lobes
     assert _same_bits(edges, np.concatenate((TWO_PI * np.arange(near_lobes),
                                              _reference_walk(start, edges[-1], 1.25))))
@@ -568,21 +590,34 @@ def test_mirrored_and_shifted_caches_are_read_only_and_exact(near_lobes, n):
     # mirrored, the shifted bounds are the mirrored bounds shifted
     assert _same_bits(-minus[::-1], -edges[::-1] + 0.5)
     assert _same_bits(-plus[::-1], -edges[::-1] - 0.5)
+    # every panel, those whose midpoints overflow at the top of the float range too
     with np.errstate(over="ignore"):
-        for panels in (1, 2, 64, 1024):
-            u, w, s = _side_nodes(near_lobes, n, panels)
-            bounds = edges[:near_lobes + panels + 1]
-            assert _same_bits(u, _panel_nodes(bounds, n)[0])
-            # the nodes and weights of the mirrored panels, and sinc^2 there
-            mirrored_u, mirrored_w = _panel_nodes(-bounds[::-1], n)
-            assert _same_bits(-u[::-1], mirrored_u) and _same_bits(w[::-1], mirrored_w)
-            near = u[:near_lobes * n]
-            assert _same_bits(s, sinc_sq(0.5 * near))
-            assert _same_bits(s[::-1], sinc_sq(0.5 * mirrored_u[-near.size:]))
-            for a in (u, w, s):
-                assert not a.flags.writeable
-    for a in (edges, plus, minus, *_gl_cache(n)):
+        ref_u, ref_w = _panel_nodes(edges, n)
+        mirrored_u, mirrored_w = _panel_nodes(-edges[::-1], n)
+    assert _same_bits(u, ref_u) and _same_bits(w, ref_w)
+    # the nodes and weights of the mirrored panels, and sinc^2 there
+    assert _same_bits(-u[::-1], mirrored_u) and _same_bits(w[::-1], mirrored_w)
+    near = u[:near_lobes * n]
+    assert _same_bits(s, sinc_sq(0.5 * near))
+    assert _same_bits(s[::-1], sinc_sq(0.5 * mirrored_u[-near.size:]))
+    for a in (edges, plus, minus, u, w, s, *_gl_cache(n)):
         assert not a.flags.writeable
+
+
+def test_one_geometry_per_configuration():
+    # points across nu, band-limited ones and those with a partial lobe at
+    # either end included, build each side once per (near_lobes, nodes_per_lobe)
+    _side_geometry.cache_clear()
+    reservoir, omega0 = builtin_transition("3D-1S")
+    band = BandLimitedReservoir(reservoir, (0.0, 5.0))
+    configs = (QuadratureConfig(), QuadratureConfig(near_lobes=4, nodes_per_lobe=7),
+               QuadratureConfig(rel_tol=1e-12, max_omega_factor=100.0))
+    for cfg in configs:
+        for nu in np.geomspace(1e-9, 10.0, 21):
+            for r in (reservoir, band):
+                modified_rate_quadrature(r, omega0, MeasurementSchedule(nu=float(nu)), cfg)
+    info = _side_geometry.cache_info()
+    assert info.currsize == info.misses == 2
 
 
 @pytest.mark.parametrize("n", range(5, 42))
@@ -640,10 +675,13 @@ def _near_cases(near_lobes: int):
 
 def _near_region(lo: float, hi: float, near_lobes: int, n: int):
     """The near region [lo, hi] as the quadrature gathers it: the side below mirrored."""
-    bu, bw, bs = (np.concatenate(a) for a in zip(*_side(-lo, near_lobes, n, aligned=False)[0]))
-    au, aw, as_ = (np.concatenate(a) for a in zip(*_side(hi, near_lobes, n, aligned=False)[0]))
-    return (np.concatenate((-bu[::-1], au)), np.concatenate((bw[::-1], aw)),
-            np.concatenate((bs[::-1], as_)))
+    below = _side(-lo, near_lobes, n, aligned=False, mirrored=True)
+    above = _side(hi, near_lobes, n, aligned=False)
+    assert below[3:] == above[3:] == (0, 0)
+    u, w, s = (np.concatenate(b + a) for b, a in zip(below[:3], above[:3]))
+    mirrored = u[:sum(map(len, below[0]))]
+    np.negative(mirrored, out=mirrored)
+    return u, w, s
 
 
 def test_one_cut_rule_keeps_the_sliver_lobe():
@@ -651,9 +689,9 @@ def test_one_cut_rule_keeps_the_sliver_lobe():
     k, n = 19, 15
     assert SLIVER_END / TWO_PI == k and TWO_PI * k < SLIVER_END
     for aligned in (False, True):
-        near, walk, lobe = _side(SLIVER_END, 64, n, aligned=aligned)
-        assert walk == ([], [], [], []) and lobe is None
-        u, w, s = (np.concatenate(a) for a in zip(*near))
+        *pieces, walk, shifted = _side(SLIVER_END, 64, n, aligned=aligned)
+        assert walk == shifted == 0
+        u, w, s = (np.concatenate(p) for p in pieces)
         assert u.size == w.size == s.size == (k + 1) * n
         cut_u, cut_w = _one_panel(TWO_PI * k, SLIVER_END, n)
         assert _same_bits(u[-n:], cut_u) and _same_bits(w[-n:], cut_w)
@@ -671,7 +709,7 @@ def test_sliced_near_region_matches_the_built_one_bit_for_bit(near_lobes, n):
         assert _same_bits(s, sinc_sq(0.5 * ref_u)), (lo, hi)
     # a side's whole near region is a slice of its cached nodes
     lobe_k = TWO_PI * near_lobes
-    (whole,) = _side(lobe_k + 0.5, near_lobes, n, aligned=False)[0]
-    for got, cached in zip(whole, _side_nodes(near_lobes, n, 1)):
+    side = _side(lobe_k + 0.5, near_lobes, n, aligned=False)
+    for (got, *_), cached in zip(side[:3], _side_geometry(near_lobes, n)[3:]):
         assert np.shares_memory(got, cached)
         assert _same_bits(got, cached[:near_lobes * n])

@@ -9,12 +9,11 @@ import pytest
 from zenoscope.errors import DomainError
 from zenoscope.oracle import BandLimitedReservoir
 from zenoscope.reservoir import (
+    ALPHA,
     BUILTIN_QUANTUM_NUMBERS,
-    CONSTANTS,
     ELECTRIC,
     MAGNETIC,
     FullReservoir,
-    PhysicalConstants,
     SimpleReservoir,
     Transition,
     builtin_names,
@@ -29,6 +28,10 @@ from zenoscope.reservoir import (
 )
 
 
+# CODATA 2018 speed of light over Bohr radius, 1/s
+C_OVER_A0 = 2.99792458e8 / 5.29177210903e-11
+
+
 def _transition(n_g=1, l_g=0, n_e=2, l_e=1, z=1.0, character=ELECTRIC,
                 m_g=0, m_e=0):
     return Transition(character, n_g, l_g, m_g, n_e, l_e, m_e, z)
@@ -39,14 +42,19 @@ def _transition(n_g=1, l_g=0, n_e=2, l_e=1, z=1.0, character=ELECTRIC,
 # ---------------------------------------------------------------------------
 
 def test_default_constants():
-    assert CONSTANTS.alpha == pytest.approx(1 / 137.036, rel=1e-6)
-    assert CONSTANTS.c > 0 and CONSTANTS.a0 > 0
+    assert ALPHA == pytest.approx(1 / 137.036, rel=1e-6)
+    # the default alpha is the one frequency_ratio reads
+    t = _transition(n_g=1, n_e=2)
+    assert frequency_ratio(t) == frequency_ratio(t, ALPHA) == 0.5 * ALPHA * (1.0 - 0.5)
+    # the cutoff reads the CODATA speed of light and Bohr radius
+    assert hydrogenic_cutoff(1, 2, 1.0) == 1.5 * C_OVER_A0
 
 
 def test_constants_validation():
+    t = _transition()
     for bad in (-1.0, 0.0, math.nan, math.inf):
-        with pytest.raises(DomainError):
-            PhysicalConstants(alpha=bad)
+        with pytest.raises(DomainError, match="alpha"):
+            frequency_ratio(t, bad)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -78,14 +86,13 @@ def test_transition_character():
 # ---------------------------------------------------------------------------
 
 def test_cutoff_frequency_examples():
-    c_over_a0 = CONSTANTS.c / CONSTANTS.a0
-    assert cutoff_frequency(_transition()) == pytest.approx(1.5 * c_over_a0, rel=1e-14)
+    assert cutoff_frequency(_transition()) == pytest.approx(1.5 * C_OVER_A0, rel=1e-14)
     # orderings not expressible as a Transition go through the raw helper;
     # (1/4 + 1/3) * 2 = 7/6
-    assert hydrogenic_cutoff(4, 3, 2.0) == pytest.approx((7.0 / 6.0) * c_over_a0,
+    assert hydrogenic_cutoff(4, 3, 2.0) == pytest.approx((7.0 / 6.0) * C_OVER_A0,
                                                          rel=1e-14)
     assert hydrogenic_cutoff(4, 3, 2.0) == pytest.approx(6.61e18, rel=1e-2)
-    assert hydrogenic_cutoff(1, 1, 1.0) == pytest.approx(2.0 * c_over_a0, rel=1e-14)
+    assert hydrogenic_cutoff(1, 1, 1.0) == pytest.approx(2.0 * C_OVER_A0, rel=1e-14)
 
 
 def test_cutoff_domain():
@@ -347,10 +354,9 @@ def test_builtin_unknown_name_lists_valid():
 def test_builtin_table_regeneration():
     # recomputing the frequency ratio from the quantum numbers reproduces
     # the stored values to 4 significant figures
-    consts = PhysicalConstants(alpha=1 / 137.035999)
     for name in builtin_names():
         stored = builtin_transition(name)[0].omega_x
-        recomputed = 1.0 / frequency_ratio(BUILTIN_QUANTUM_NUMBERS[name], consts)
+        recomputed = 1.0 / frequency_ratio(BUILTIN_QUANTUM_NUMBERS[name], 1 / 137.035999)
         assert float(f"{recomputed:.4g}") == stored
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zenoscope.decay import _side_nodes
+from zenoscope.decay import _side_geometry
 from zenoscope.errors import DomainError
 from zenoscope.specfun import beta, clebsch_gordan, sinc_sq
 
@@ -86,7 +86,7 @@ def test_sinc_sq_is_one_formula():
     # |x| >= 1e-4: the bits of (sin x / x)^2, on a grid and on every node
     # the quadrature evaluates in its near region, on either side of resonance
     grid = np.concatenate((np.geomspace(1e-4, 1e4, 2001), np.linspace(-60.0, 60.0, 4001)))
-    near = [0.5 * _side_nodes(lobes, n, 1)[0][:lobes * n] for lobes, n in ((64, 15), (1024, 41))]
+    near = [0.5 * _side_geometry(lobes, n)[3][:lobes * n] for lobes, n in ((64, 15), (1024, 41))]
     for x in (grid[np.abs(grid) >= 1e-4], *near, *(-x for x in near)):
         assert np.abs(x).min() >= 1e-4
         assert np.array_equal(sinc_sq(x), np.square(np.sin(x) / x))
