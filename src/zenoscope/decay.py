@@ -151,7 +151,7 @@ def _panel_nodes(edges: np.ndarray, n: int):
     xi, wi = _gl_cache(n)
     a = edges[:-1][:, None]
     b = edges[1:][:, None]
-    nodes = 0.5 * (a + b) + 0.5 * (b - a) * xi[None, :]
+    nodes = 0.5 * a + 0.5 * b + 0.5 * (b - a) * xi[None, :]
     weights = 0.5 * (b - a) * wi[None, :]
     return nodes.ravel(), weights.ravel()
 
@@ -160,7 +160,7 @@ def _one_panel(a: float, b: float, n: int):
     """GL nodes and weights of the single panel [a, b]."""
     xi, wi = _gl_cache(n)
     half = 0.5 * (b - a)
-    return 0.5 * (a + b) + half * xi, half * wi
+    return 0.5 * a + 0.5 * b + half * xi, half * wi
 
 
 @functools.lru_cache(maxsize=8)
@@ -183,9 +183,7 @@ def _side_geometry(near_lobes: int, n: int):
             break
         edges.append(nxt)
     edges = np.asarray(edges)
-    # the midpoints of the last panels overflow at the top of the float range
-    with np.errstate(over="ignore"):
-        u, w = _panel_nodes(edges, n)
+    u, w = _panel_nodes(edges, n)
     arrays = (edges, edges + 0.5, edges - 0.5, u, w, sinc_sq(0.5 * u[:near_lobes * n]))
     for a in arrays:
         a.flags.writeable = False

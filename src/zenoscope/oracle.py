@@ -11,7 +11,9 @@ interval determines the rate: Gamma = -ln P(tau) / tau.
 Two integration routes guard against integrator bias: fixed-step RK4
 (default) and exact diagonalization of the arrowhead Hamiltonian, which
 solves its secular equation root by root in O(n_modes^2) time and
-O(n_modes) memory, with no dense matrix.  RK4 sums its exact discrete
+O(n_modes) memory, with no dense matrix: blocks of roots are shared out
+over one thread per CPU, each with one 1 MB work array, and the roots do
+not depend on the number of threads.  RK4 sums its exact discrete
 solution p(-ihH)^n e_0 as a Chebyshev series in H, with no eigenvalues,
 so that it stays independent of the secular solver (about 15 ms at 10^4
 modes and 10^4 steps on a 2-core Xeon); the series is good to 1e-13 with
@@ -27,6 +29,8 @@ that are outside the formula being validated.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -54,8 +58,10 @@ _TWO_PI = 2.0 * math.pi
 BAND_COVERAGE = 1e3
 
 _EPS = float(np.finfo(float).eps)
-# Bytes of the secular solver's one (roots x poles) work array: the block
-# of roots iterated together is sized from it, so memory stays O(n_modes).
+# Bytes of each secular worker's one (roots x poles) work array: the block
+# of roots iterated together is sized from it, so memory stays O(n_modes)
+# per worker.  The block also fixes the rows of each matrix-vector product,
+# whose rounding depends on them, so it does not change with the workers.
 _BLOCK_BYTES = 1 << 20
 _SECULAR_MAX_ITER = 64
 # Mode limits: ED time grows as n_modes**2; RK4 peaks at about 64 B per mode.
@@ -244,6 +250,58 @@ def _secular_sums(anchor: np.ndarray, mu: np.ndarray, poles: np.ndarray,
     return psi, t @ z2
 
 
+def _secular_block(j: np.ndarray, poles: np.ndarray, z2: np.ndarray, start: np.ndarray,
+                   vals: np.ndarray, weights: np.ndarray, work: np.ndarray) -> None:
+    """Solve the roots j together, writing them to vals and weights.
+
+    ``work`` holds a row of pole terms for each root of j.
+    """
+    m = len(poles)
+    # F at the start points, through the left pole (the right one for j = 0)
+    a = np.maximum(j - 1, 0)
+    mu = start[j] - poles[a]
+    psi, phi = _secular_sums(a, mu, poles, z2, work)
+    f = start[j] - psi - z2[a] / mu
+    df = 1.0 + phi + z2[a] / mu ** 2
+    # anchor at the pole on the root's side of the start point
+    left = f > 0
+    left[j == 0], left[j == m] = False, True
+    a = np.where(left, j - 1, j)
+    mu = start[j] - poles[a]
+    g = mu * f
+    dg = f + mu * df
+    for _ in range(_SECULAR_MAX_ITER):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = g / dg
+        # G <= 0 on the far side can only be rounding: the root is reached
+        done = (g <= 0) | (np.abs(step) <= 4.0 * _EPS * np.abs(mu))
+        vals[j[done]] = poles[a[done]] + np.where(g > 0, mu - step, mu)[done]
+        weights[j[done]] = 1.0 / df[done]
+        if done.all():
+            return
+        busy = ~done
+        j, a, mu, step = j[busy], a[busy], mu[busy], step[busy]
+        # the step must land strictly between the anchor and mu
+        shrink = (mu - step) / mu
+        mu = np.where((shrink > 0) & (shrink < 1), mu - step, 0.5 * mu)
+        psi, phi = _secular_sums(a, mu, poles, z2, work)
+        lam = poles[a] + mu
+        g = mu * (lam - psi) - z2[a]
+        dg = lam + mu - psi + mu * phi
+        df = 1.0 + phi + z2[a] / mu ** 2
+    raise NumericalError(
+        f"secular equation: {len(j)} roots unconverged after "
+        f"{_SECULAR_MAX_ITER} Newton steps")
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call outside Linux
+        return os.cpu_count() or 1
+
+
 def _secular_roots(poles: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Roots of F(lam) = lam - sum z2_k / (lam - poles_k) and weights 1 / F'(lam).
 
@@ -255,6 +313,14 @@ def _secular_roots(poles: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.nd
     positive on the far side.  Started on the far side, the iterates fall
     monotonically onto the root, so a step that would leave the bracket
     (anchor, mu) can only come from rounding and halves mu instead.
+
+    The roots are solved in blocks of ``_BLOCK_BYTES``, dealt out
+    round-robin to one worker per CPU, at most one per block: the calling
+    thread and a thread per further worker, each with its own work array.
+    A block makes the same calls whichever worker runs it, so the roots do
+    not depend on the number of workers.  Every thread is joined before
+    the call returns; of the blocks that fail, the first raises, as it
+    would serially.
     """
     m = len(poles)
     norm = math.sqrt(float(z2.sum()))
@@ -265,45 +331,31 @@ def _secular_roots(poles: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.nd
     vals = np.empty(m + 1)
     weights = np.empty(m + 1)
     rows = max(1, _BLOCK_BYTES // (8 * m))
-    work = np.empty((min(rows, m + 1), m))
-    for first in range(0, m + 1, rows):
-        j = np.arange(first, min(first + rows, m + 1))
-        # F at the start points, through the left pole (the right one for j = 0)
-        a = np.maximum(j - 1, 0)
-        mu = start[j] - poles[a]
-        psi, phi = _secular_sums(a, mu, poles, z2, work)
-        f = start[j] - psi - z2[a] / mu
-        df = 1.0 + phi + z2[a] / mu ** 2
-        # anchor at the pole on the root's side of the start point
-        left = f > 0
-        left[j == 0], left[j == m] = False, True
-        a = np.where(left, j - 1, j)
-        mu = start[j] - poles[a]
-        g = mu * f
-        dg = f + mu * df
-        for _ in range(_SECULAR_MAX_ITER):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = g / dg
-            # G <= 0 on the far side can only be rounding: the root is reached
-            done = (g <= 0) | (np.abs(step) <= 4.0 * _EPS * np.abs(mu))
-            vals[j[done]] = poles[a[done]] + np.where(g > 0, mu - step, mu)[done]
-            weights[j[done]] = 1.0 / df[done]
-            if done.all():
-                break
-            busy = ~done
-            j, a, mu, step = j[busy], a[busy], mu[busy], step[busy]
-            # the step must land strictly between the anchor and mu
-            shrink = (mu - step) / mu
-            mu = np.where((shrink > 0) & (shrink < 1), mu - step, 0.5 * mu)
-            psi, phi = _secular_sums(a, mu, poles, z2, work)
-            lam = poles[a] + mu
-            g = mu * (lam - psi) - z2[a]
-            dg = lam + mu - psi + mu * phi
-            df = 1.0 + phi + z2[a] / mu ** 2
-        else:
-            raise NumericalError(
-                f"secular equation: {len(j)} roots unconverged after "
-                f"{_SECULAR_MAX_ITER} Newton steps")
+    firsts = range(0, m + 1, rows)
+    workers = min(_cpu_count(), len(firsts))
+    failures = []
+
+    def solve(share: range) -> None:
+        first = share[0]
+        try:
+            work = np.empty((min(rows, m + 1), m))
+            for first in share:
+                _secular_block(np.arange(first, min(first + rows, m + 1)),
+                               poles, z2, start, vals, weights, work)
+        except Exception as exc:
+            failures.append((first, exc))
+
+    helpers = [threading.Thread(target=solve, args=(firsts[i::workers],))
+               for i in range(1, workers)]
+    for thread in helpers:
+        thread.start()
+    try:
+        solve(firsts[0::workers])
+    finally:
+        for thread in helpers:
+            thread.join()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
     return vals, weights
 
 
@@ -315,7 +367,8 @@ def _arrowhead_eigensystem(modes: DiscretizedModes, omega0: float):
     their eigenvectors, 1 / (1 + sum g_k^2 / (lam - delta_k)^2).  Couplings
     at or below eps * scale, and all but the first pole of a tie (which
     takes the tie's whole coupling weight), leave their pole as an
-    eigenvalue of weight 0.  O(n^2) time and O(n) memory.
+    eigenvalue of weight 0.  O(n^2) time, shared over one thread per CPU,
+    and O(n) memory: one 1 MB block of roots per thread.
     """
     if len(modes.omega) > _ED_MAX_MODES:
         raise DomainError(_ED_TOO_LARGE)

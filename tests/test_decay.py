@@ -590,10 +590,9 @@ def test_mirrored_and_shifted_caches_are_read_only_and_exact(near_lobes, n):
     # mirrored, the shifted bounds are the mirrored bounds shifted
     assert _same_bits(-minus[::-1], -edges[::-1] + 0.5)
     assert _same_bits(-plus[::-1], -edges[::-1] - 0.5)
-    # every panel, those whose midpoints overflow at the top of the float range too
-    with np.errstate(over="ignore"):
-        ref_u, ref_w = _panel_nodes(edges, n)
-        mirrored_u, mirrored_w = _panel_nodes(-edges[::-1], n)
+    # every panel, those at the top of the float range too
+    ref_u, ref_w = _panel_nodes(edges, n)
+    mirrored_u, mirrored_w = _panel_nodes(-edges[::-1], n)
     assert _same_bits(u, ref_u) and _same_bits(w, ref_w)
     # the nodes and weights of the mirrored panels, and sinc^2 there
     assert _same_bits(-u[::-1], mirrored_u) and _same_bits(w[::-1], mirrored_w)
@@ -602,6 +601,19 @@ def test_mirrored_and_shifted_caches_are_read_only_and_exact(near_lobes, n):
     assert _same_bits(s[::-1], sinc_sq(0.5 * mirrored_u[-near.size:]))
     for a in (edges, plus, minus, u, w, s, *_gl_cache(n)):
         assert not a.flags.writeable
+
+
+def test_panel_midpoints_stay_finite_at_the_top_of_the_float_range():
+    # 0.5 * (a + b) overflowed for the last panels below 1.8e308
+    _, _, _, u, w, _ = _side_geometry(64, 15)
+    assert np.all(np.isfinite(u)) and np.all(np.isfinite(w))
+    # the walk above resonance reaches those panels at nu = 3e-307: R at omega
+    # = inf would be inf/inf for this metadata-free callable (test_golden's plain)
+    def plain(omega):
+        return omega ** 3 / (1.0 + (omega / 40.0) ** 2) ** 6
+
+    res = modified_rate_quadrature(plain, 1.0, MeasurementSchedule(nu=3e-307))
+    assert res.ratio == 1.0000000195793541
 
 
 def test_one_geometry_per_configuration():

@@ -1,6 +1,8 @@
 """Discretized-mode dynamics: golden-rule limits, unitarity, cross-route checks."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zenoscope import oracle
 from zenoscope.errors import DomainError, NumericalError
 from zenoscope.oracle import (
     _arrowhead_eigensystem,
     _auto_coupling_scale,
     _rk4_series,
+    _secular_roots,
     _survival_rk4,
     BandLimitedReservoir,
     DiscretizedModes,
@@ -475,6 +479,79 @@ def test_exact_diagonalization_memory_stays_linear():
     finally:
         tracemalloc.stop()
     assert peak < 40e6
+
+
+def _secular_problem(n_modes):
+    modes = discretize_reservoir(_desk_reservoir(3, d=3e-3),
+                                 OracleConfig(n_modes=n_modes, band=(0.0, 11.0)))
+    return modes.omega - 1.0, modes.g ** 2
+
+
+@pytest.mark.parametrize("n_modes", [100, 2000, 5000])
+def test_secular_roots_do_not_depend_on_the_worker_count(monkeypatch, n_modes):
+    # 1 block at 100 modes, 31 (the last partial) at 2000 and 193 at 5000
+    # threads switch often, and 3 workers may outnumber the CPUs
+    poles, z2 = _secular_problem(n_modes)
+    default = _secular_roots(poles, z2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 3):
+            monkeypatch.setattr(oracle, "_cpu_count", lambda: workers)
+            roots, weights = _secular_roots(poles, z2)
+            assert np.array_equal(roots, default[0]) and np.array_equal(weights, default[1])
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("eta, nu", [(1, 1e-2), (1, 3e-2), (3, 1e-2), (3, 3e-2)])
+def test_exact_diagonalization_ratio_does_not_depend_on_the_worker_count(
+        monkeypatch, eta, nu):
+    # the ED points of the oracle benchmark
+    def ratio():
+        return oracle_rate(_desk_reservoir(eta), 1.0, MeasurementSchedule(nu=nu),
+                           OracleConfig(n_modes=2000, method="exact_diagonalization")).ratio
+
+    default = ratio()
+    for workers in (1, 3):
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: workers)
+        assert ratio() == default
+
+
+def test_secular_failure_raises_alike_and_leaves_no_thread(monkeypatch):
+    modes = discretize_reservoir(_desk_reservoir(3, d=3e-3),
+                                 OracleConfig(n_modes=2000, band=(0.0, 11.0)))
+    before = threading.active_count()
+    _arrowhead_eigensystem(modes, 1.0)
+    assert threading.active_count() == before
+    monkeypatch.setattr(oracle, "_SECULAR_MAX_ITER", 1)
+    messages = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: workers)
+        with pytest.raises(NumericalError, match="unconverged after 1 Newton steps") as err:
+            _arrowhead_eigensystem(modes, 1.0)
+        messages.append(str(err.value))
+        assert threading.active_count() == before
+    assert messages[1:] == messages[:-1]
+
+
+def test_the_first_failing_secular_block_raises(monkeypatch):
+    # blocks 1 and 2 of 31 fail, on helper threads when there are several
+    poles, z2 = _secular_problem(2000)
+    solve = oracle._secular_block
+
+    def failing(j, *args):
+        if j[0] in (65, 130):
+            raise NumericalError(f"block at root {j[0]}")
+        solve(j, *args)
+
+    monkeypatch.setattr(oracle, "_secular_block", failing)
+    before = threading.active_count()
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: workers)
+        with pytest.raises(NumericalError, match="^block at root 65$"):
+            _secular_roots(poles, z2)
+        assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------
