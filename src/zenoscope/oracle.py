@@ -241,7 +241,8 @@ def _secular_sums(anchor: np.ndarray, mu: np.ndarray, poles: np.ndarray,
     anchor pole keeps an accurate distance to every other pole.
     """
     t = work[:len(mu)]
-    np.subtract.outer(poles[anchor], poles, out=t)
+    np.copyto(t, poles[anchor][:, None])
+    t -= poles
     t += mu[:, None]
     np.reciprocal(t, out=t)
     t[np.arange(len(mu)), anchor] = 0.0

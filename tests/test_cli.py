@@ -5,12 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zenoscope import cli
+from zenoscope import cli, oracle
 from zenoscope.cli import FIGURE2_HEADER, SWEEP_HEADER, SweepSpec, dumps_json, main
 from zenoscope.decay import modified_rate_quadrature
 from zenoscope.errors import DomainError
@@ -383,6 +384,132 @@ def test_figure2_preset(capsys):
     assert len(lines) == 1 + 3 * 3
     names = {line.split(",")[0] for line in lines[1:]}
     assert names == {"2P-1S", "3D-1S", "4F-1S"}
+
+
+# ---------------------------------------------------------------------------
+# worker processes
+# ---------------------------------------------------------------------------
+
+DATA = Path(__file__).resolve().parent / "data"
+# 300 rows, enough for three workers, with rwa_warning rows above nu = 1
+LONG_SWEEP = ("sweep", "--transition", str(DATA / "5D-1S.json"), "--nu-min", "1e-6",
+              "--nu-max", "3", "--points", "300")
+
+
+def _count_forks(monkeypatch, refuse=False):
+    """Count os.fork calls from now on; with refuse, each raises OSError."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(1)
+        if refuse:
+            raise OSError("fork refused")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+@pytest.mark.parametrize("argv", [("figure2", "--points", "200"), LONG_SWEEP],
+                         ids=["figure2", "sweep"])
+def test_split_output_equals_the_serial_output(capsys, monkeypatch, argv):
+    forks = _count_forks(monkeypatch)
+    outs = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: cpus)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        outs.append(out)
+    assert len(forks) == 0 + 1 + 2
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+    assert (",true," in outs[0]) == (argv[0] == "sweep")
+
+
+@pytest.mark.parametrize("bad", [2, 3], ids=["in-a-worker", "in-the-parent"])
+def test_a_raising_row_raises_as_serially_and_leaves_no_worker(capsys, monkeypatch, bad):
+    # on two CPUs row 0 runs before the fork, then rows 1, 3, ... in this
+    # process and rows 2, 4, ... in the worker
+    nus = SweepSpec(transition="5D-1S", nu_min=1e-6, nu_max=3, points=300).nu_values()
+    row = cli._sweep_csv_row
+
+    def flaky(reservoir, omega0, nu, *methods):
+        if nu == nus[bad]:
+            raise RuntimeError(f"row {bad}")
+        return row(reservoir, omega0, nu, *methods)
+
+    monkeypatch.setattr(cli, "_sweep_csv_row", flaky)
+    forks = _count_forks(monkeypatch)
+    outs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: cpus)
+        with pytest.raises(RuntimeError, match=f"^row {bad}$"):
+            main(list(LONG_SWEEP))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        outs.append(capsys.readouterr().out)
+    assert len(forks) == 1
+    # the rows before the failing one, as the serial path prints them
+    assert outs[1] == outs[0] and outs[0].count("\n") == 1 + bad
+
+
+def test_requests_too_short_to_pay_for_a_fork_do_not_fork(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "_cpu_count", lambda: 8)
+    forks = _count_forks(monkeypatch, refuse=True)
+    nu = ("--nu-min", "1e-4", "--nu-max", "1e-2")
+    for argv in (("sweep", "--transition", "3D-1S", *nu, "--points", "20"),
+                 ("figure2", "--points", "20"),
+                 ("sweep", "--transition", "3D-1S", *nu, "--points", "5000",
+                  "--methods", "analytic")):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out.endswith(",ok\n")
+    assert forks == []
+
+
+def test_no_fork_beside_another_thread_or_off_linux(capsys, monkeypatch):
+    golden = (DATA / "golden" / "figure2-points200.csv").read_text()
+    monkeypatch.setattr(oracle, "_cpu_count", lambda: 2)
+    forks = _count_forks(monkeypatch, refuse=True)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    try:
+        assert run_cli(capsys, "figure2", "--points", "200")[:2] == (0, golden)
+    finally:
+        release.set()
+        thread.join(60)
+    assert not thread.is_alive()
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert run_cli(capsys, "figure2", "--points", "200")[:2] == (0, golden)
+    assert forks == []
+    # a refused fork runs the request serially
+    monkeypatch.setattr(sys, "platform", "linux")
+    assert run_cli(capsys, "figure2", "--points", "200")[:2] == (0, golden)
+    assert forks == [1]
+
+
+def test_a_warning_prints_once_whatever_the_worker_count(tmp_path):
+    # z = 60 makes omega_x/omega0 = 6.85, below the closed form's wide-reservoir bound
+    path = _config_with(tmp_path, z=60.0)
+    script = "\n".join([
+        "import sys",
+        "from zenoscope import cli, oracle",
+        "oracle._cpu_count = lambda: int(sys.argv[1])",
+        "forks = []",
+        "sys.addaudithook(lambda event, args: event == 'os.fork' and forks.append(1))",
+        "code = cli.main(sys.argv[2:])",
+        "print('forks', len(forks), file=sys.stderr)",
+        "sys.exit(code)"])
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    runs = [subprocess.run([sys.executable, "-c", script, str(cpus), "sweep", "--transition",
+                            path, "--nu-min", "1e-4", "--nu-max", "1e-2", "--points", "300"],
+                           capture_output=True, text=True, env=env, check=True)
+            for cpus in (1, 3)]
+    assert runs[1].stdout == runs[0].stdout
+    warned = [run.stderr.splitlines() for run in runs]
+    assert warned[0][-1] == "forks 0" and warned[1][-1] == "forks 2"
+    assert warned[1][:-1] == warned[0][:-1]
+    assert sum("UserWarning: cutoff/transition frequency ratio 6.8518 < 10" in line
+               for line in warned[0]) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,11 @@ and charged twice to ``err_estimate``; no ``converged`` flag changed.  The
 ``sinking`` case now returns a ratio at nu = 1e-8 to 1e-3: there the stop
 dropped a negative band, which made the error estimate negative.
 
+``figure2-points200.csv`` was recorded from the serial path before long
+requests were shared out over worker processes; on two or more CPUs the
+test reads the split path, and CI diffs the console script's output
+against it on every CPU and on one.
+
 To record a golden JSON file from a source tree, put that tree's ``src``
 first on ``PYTHONPATH`` and run ``python tests/test_golden.py quadrature``
 (or ``quadrature-grid``, ``oracle_ed`` or ``oracle_rk4``).
@@ -66,6 +71,8 @@ DATA = Path(__file__).resolve().parent / "data"
 
 CLI_CASES = {
     "figure2-points20.csv": ("figure2", "--points", "20"),
+    # long enough that the rows are shared out over worker processes
+    "figure2-points200.csv": ("figure2", "--points", "200"),
     "sweep-4F-1S.csv": ("sweep", "--transition", "4F-1S", "--nu-min", "1e-7",
                         "--nu-max", "1e-5"),
     # multi-term reservoir, reaching past nu = omega0 (rwa_warning rows)
