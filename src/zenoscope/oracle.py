@@ -10,10 +10,14 @@ interval determines the rate: Gamma = -ln P(tau) / tau.
 
 Two integration routes guard against integrator bias: fixed-step RK4
 (default) and exact diagonalization of the arrowhead Hamiltonian, which
-solves its secular equation root by root in O(n_modes^2) time and
-O(n_modes) memory, with no dense matrix: blocks of roots are shared out
-over one thread per CPU, each with one 1 MB work array, and the roots do
-not depend on the number of threads.  RK4 sums its exact discrete
+solves its secular equation in O(n_modes^2) time and O(n_modes) memory,
+with no dense matrix.  One pass forms, for every pole, the moments of the
+other poles' couplings; each weakly coupled root, one that hugs its pole,
+is solved from that pole's series and kept only where a remainder bound
+certifies it, and the few others (next to the atom's level) by direct
+sums over the poles.  Both passes run in blocks shared out over one
+thread per CPU, each with 1 MB of work arrays, and the roots do not
+depend on the number of threads.  RK4 sums its exact discrete
 solution p(-ihH)^n e_0 as a Chebyshev series in H, with no eigenvalues,
 so that it stays independent of the secular solver (about 15 ms at 10^4
 modes and 10^4 steps on a 2-core Xeon); the series is good to 1e-13 with
@@ -35,6 +39,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .decay import METHOD_ORACLE, DecayResult, fgr_rate, modified_rate_quadrature
 from .errors import DomainError, NumericalError
@@ -58,12 +63,22 @@ _TWO_PI = 2.0 * math.pi
 BAND_COVERAGE = 1e3
 
 _EPS = float(np.finfo(float).eps)
-# Bytes of each secular worker's one (roots x poles) work array: the block
-# of roots iterated together is sized from it, so memory stays O(n_modes)
-# per worker.  The block also fixes the rows of each matrix-vector product,
-# whose rounding depends on them, so it does not change with the workers.
+# Bytes of each secular worker's (rows x poles) work arrays: the block of
+# poles or roots it takes at once is sized from them, so memory stays
+# O(n_modes) per worker.  The block also fixes the rows of each
+# matrix-vector product, whose rounding depends on them, so it does not
+# change with the workers.
 _BLOCK_BYTES = 1 << 20
 _SECULAR_MAX_ITER = 64
+# Local series of a weakly coupled root about its pole: its order P (even)
+# and the largest offset tried, as a share rho of the distance to the
+# nearest other pole.  At the oracle benchmark's four ED points (2000
+# modes), P = 6 leaves 1-2 of the 2001 roots to direct sums; P = 4 leaves
+# 1-12 and P = 2 up to 1995, while P = 8 costs a quarter more time for at
+# most one root fewer.  The largest rho certified there was 4.0e-3, and a
+# cap of 0.5 in place of 1e-2 certified the same roots.
+_SERIES_ORDER = 6
+_SERIES_RHO = 1e-2
 # Mode limits: ED time grows as n_modes**2; RK4 peaks at about 64 B per mode.
 _ED_MAX_MODES = 20_000
 _MAX_MODES = 1_000_000
@@ -251,9 +266,47 @@ def _secular_sums(anchor: np.ndarray, mu: np.ndarray, poles: np.ndarray,
     return psi, t @ z2
 
 
+def _newton_terms(pole, w, mu, psi, phi):
+    """G(mu) = mu F(pole + mu), G'(mu) and F'(pole + mu), where F's anchor
+    term w / mu is written out and psi and phi sum the other poles."""
+    lam = pole + mu
+    return mu * (lam - psi) - w, lam + mu - psi + mu * phi, 1.0 + phi + w / mu ** 2
+
+
+def _newton(anchor, mu, g, dg, df, poles, z2, sums):
+    """Newton's method on G(mu) = mu F(poles[anchor] + mu) for each root.
+
+    Each mu starts on the far side of its root, with G, G' and F' there in
+    g, dg and df; sums(i, mu) returns psi and phi of the roots i.  Returns
+    the offsets of the roots from their anchors, F' at each, and the
+    indices of the roots still unconverged after ``_SECULAR_MAX_ITER``
+    steps.
+    """
+    offset = np.empty(len(mu))
+    slope = np.empty(len(mu))
+    i = np.arange(len(mu))
+    for _ in range(_SECULAR_MAX_ITER):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = g / dg
+        # G <= 0 on the far side can only be rounding: the root is reached
+        done = (g <= 0) | (np.abs(step) <= 4.0 * _EPS * np.abs(mu))
+        offset[i[done]] = np.where(g > 0, mu - step, mu)[done]
+        slope[i[done]] = df[done]
+        if done.all():
+            return offset, slope, i[:0]
+        busy = ~done
+        i, mu, step = i[busy], mu[busy], step[busy]
+        # the step must land strictly between the anchor and mu
+        shrink = (mu - step) / mu
+        mu = np.where((shrink > 0) & (shrink < 1), mu - step, 0.5 * mu)
+        a = anchor[i]
+        g, dg, df = _newton_terms(poles[a], z2[a], mu, *sums(i, mu))
+    return offset, slope, i
+
+
 def _secular_block(j: np.ndarray, poles: np.ndarray, z2: np.ndarray, start: np.ndarray,
                    vals: np.ndarray, weights: np.ndarray, work: np.ndarray) -> None:
-    """Solve the roots j together, writing them to vals and weights.
+    """Solve the roots j by direct sums, writing them to vals and weights.
 
     ``work`` holds a row of pole terms for each root of j.
     """
@@ -269,30 +322,99 @@ def _secular_block(j: np.ndarray, poles: np.ndarray, z2: np.ndarray, start: np.n
     left[j == 0], left[j == m] = False, True
     a = np.where(left, j - 1, j)
     mu = start[j] - poles[a]
-    g = mu * f
-    dg = f + mu * df
-    for _ in range(_SECULAR_MAX_ITER):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = g / dg
-        # G <= 0 on the far side can only be rounding: the root is reached
-        done = (g <= 0) | (np.abs(step) <= 4.0 * _EPS * np.abs(mu))
-        vals[j[done]] = poles[a[done]] + np.where(g > 0, mu - step, mu)[done]
-        weights[j[done]] = 1.0 / df[done]
-        if done.all():
-            return
-        busy = ~done
-        j, a, mu, step = j[busy], a[busy], mu[busy], step[busy]
-        # the step must land strictly between the anchor and mu
-        shrink = (mu - step) / mu
-        mu = np.where((shrink > 0) & (shrink < 1), mu - step, 0.5 * mu)
-        psi, phi = _secular_sums(a, mu, poles, z2, work)
-        lam = poles[a] + mu
-        g = mu * (lam - psi) - z2[a]
-        dg = lam + mu - psi + mu * phi
-        df = 1.0 + phi + z2[a] / mu ** 2
-    raise NumericalError(
-        f"secular equation: {len(j)} roots unconverged after "
-        f"{_SECULAR_MAX_ITER} Newton steps")
+    offset, slope, busy = _newton(
+        a, mu, mu * f, f + mu * df, df, poles, z2,
+        lambda i, mu: _secular_sums(a[i], mu, poles, z2, work))
+    if len(busy):
+        raise NumericalError(
+            f"secular equation: {len(busy)} roots unconverged after "
+            f"{_SECULAR_MAX_ITER} Newton steps")
+    vals[j] = poles[a] + offset
+    weights[j] = 1.0 / slope
+
+
+def _moments_block(rows: range, poles: np.ndarray, z2: np.ndarray, s: np.ndarray,
+                   work: np.ndarray) -> None:
+    """s[a, p] = sum over k != a of z2_k / (poles[a] - poles[k])^(p+1), a in rows.
+
+    ``work`` holds two arrays of a row of pole terms for each pole of rows:
+    1 / (poles[a] - poles[k]) and its running power.
+    """
+    inv, power = work[0, :len(rows)], work[1, :len(rows)]
+    a = np.arange(rows.start, rows.stop)
+    np.copyto(inv, poles[a][:, None])
+    inv -= poles
+    inv[np.arange(len(a)), a] = np.inf
+    np.reciprocal(inv, out=inv)
+    s[a, 0] = inv @ z2
+    # a close pair of poles may overflow the high powers: its roots then go direct
+    with np.errstate(over="ignore"):
+        np.square(inv, out=power)
+        for p in range(1, s.shape[1]):
+            if p > 1:
+                power *= inv
+            s[a, p] = power @ z2
+
+
+def _series_roots(poles: np.ndarray, z2: np.ndarray, s: np.ndarray, vals: np.ndarray,
+                  weights: np.ndarray) -> np.ndarray:
+    """Solve the roots that a pole's local series certifies; return the others.
+
+    Near pole a, F(poles[a] + mu) = poles[a] + mu - z2_a / mu - psi(mu),
+    where psi(mu) = sum_p (-mu)^p S_p(a) and phi = -psi' =
+    sum_p (p + 1) (-mu)^p S_(p+1)(a), both cut at p = P = ``_SERIES_ORDER``,
+    with the moments S = s of ``_moments_block``.
+
+    Pole a owns the root on its right when c_a = poles[a] - S_0(a) > 0,
+    and the one on its left when c_a < 0.  ``_newton`` solves it from
+    mu = z2_a / c_a, where G > 0.  The root is accepted when its interval
+    has no other owner, mu lies on the owned side, rho = |mu| / near (near
+    being the distance to the nearest other pole) is at most
+    ``_SERIES_RHO``, and the terms cut off psi and phi are below eps times
+    psi and phi.  With P even, S_(P+1) sums positive terms, so
+    |mu|^(P+1) S_(P+1) / (1 - rho) bounds those of psi, and
+    (P + 2) / (near (1 - rho)) times that bound those of phi.
+
+    Returns the indices of every root not accepted, in ascending order.
+    """
+    m = len(poles)
+    order = s.shape[1] - 2
+    gaps = np.diff(poles)
+    near = np.minimum(np.concatenate(([np.inf], gaps)), np.concatenate((gaps, [np.inf])))
+    c = poles - s[:, 0]
+    # a non-finite value fails the tests below, and its root goes direct
+    with np.errstate(all="ignore"):
+        mu = z2 / c
+        # the iterates fall from mu towards the anchor, so they stay where
+        # the series converges
+        a = np.flatnonzero((np.abs(mu) <= _SERIES_RHO * near) & np.isfinite(s).all(axis=1))
+        psi_coef = s[a, :-1].T
+        phi_coef = s[a, 1:].T * np.arange(1, order + 2)[:, None]
+
+        def sums(i, mu):
+            return (polyval(-mu, psi_coef[:, i], tensor=False),
+                    polyval(-mu, phi_coef[:, i], tensor=False))
+
+        mu = mu[a]
+        offset, slope, busy = _newton(
+            a, mu, *_newton_terms(poles[a], z2[a], mu, *sums(slice(None), mu)),
+            poles, z2, sums)
+        psi, phi = sums(slice(None), offset)
+        rho = np.abs(offset) / near[a]
+        tail = np.abs(offset) ** (order + 1) * s[a, -1] / (1.0 - rho)
+        ok = ((offset * c[a] > 0) & (rho <= _SERIES_RHO) & (tail <= _EPS * np.abs(psi))
+              & ((order + 2) * tail / (near[a] * (1.0 - rho)) <= _EPS * phi))
+    ok[busy] = False
+    j = a + (c[a] > 0)
+    owners = np.bincount(np.flatnonzero(c > 0) + 1, minlength=m + 1)
+    owners += np.bincount(np.flatnonzero(c < 0), minlength=m + 1)
+    ok &= owners[j] == 1
+    vals[j[ok]] = poles[a[ok]] + offset[ok]
+    weights[j[ok]] = 1.0 / slope[ok]
+    # m poles own at most m of the m + 1 intervals, so at least one root is left
+    direct = np.ones(m + 1, dtype=bool)
+    direct[j[ok]] = False
+    return np.flatnonzero(direct)
 
 
 def _cpu_count() -> int:
@@ -303,46 +425,26 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _secular_roots(poles: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of F(lam) = lam - sum z2_k / (lam - poles_k) and weights 1 / F'(lam).
+def _share(count: int, rows: int, shape: tuple[int, ...], task) -> None:
+    """Run task(block, work) on the blocks range(first, first + rows) of range(count).
 
-    The poles are ascending and distinct, every z2_k > 0.  Root j lies
-    alone in (poles[j-1], poles[j]); the outer two lie within the coupling
-    norm of the outer poles or of 0.  Each root is held as an anchor pole
-    plus an offset mu and found by Newton's method on G(mu) = mu F(lam),
-    which is convex on the root's interval, negative next to the anchor and
-    positive on the far side.  Started on the far side, the iterates fall
-    monotonically onto the root, so a step that would leave the bracket
-    (anchor, mu) can only come from rounding and halves mu instead.
-
-    The roots are solved in blocks of ``_BLOCK_BYTES``, dealt out
-    round-robin to one worker per CPU, at most one per block: the calling
-    thread and a thread per further worker, each with its own work array.
-    A block makes the same calls whichever worker runs it, so the roots do
-    not depend on the number of workers.  Every thread is joined before
-    the call returns; of the blocks that fail, the first raises, as it
-    would serially.
+    The blocks are dealt out round-robin to one worker per CPU, at most one
+    per block: the calling thread and a thread per further worker, each
+    with its own work array of the given shape.  A block makes the same
+    calls whichever worker runs it.  Every thread is joined before the call
+    returns; of the blocks that fail, the first raises, as it would
+    serially.
     """
-    m = len(poles)
-    norm = math.sqrt(float(z2.sum()))
-    lo = np.concatenate(([min(0.0, poles[0]) - norm], poles))
-    hi = np.concatenate((poles, [max(0.0, poles[-1]) + norm]))
-    start = 0.5 * (lo + hi)
-    start[0], start[-1] = lo[0], hi[-1]
-    vals = np.empty(m + 1)
-    weights = np.empty(m + 1)
-    rows = max(1, _BLOCK_BYTES // (8 * m))
-    firsts = range(0, m + 1, rows)
+    firsts = range(0, count, rows)
     workers = min(_cpu_count(), len(firsts))
     failures = []
 
     def solve(share: range) -> None:
         first = share[0]
         try:
-            work = np.empty((min(rows, m + 1), m))
+            work = np.empty(shape)
             for first in share:
-                _secular_block(np.arange(first, min(first + rows, m + 1)),
-                               poles, z2, start, vals, weights, work)
+                task(range(first, min(first + rows, count)), work)
         except Exception as exc:
             failures.append((first, exc))
 
@@ -357,6 +459,47 @@ def _secular_roots(poles: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.nd
             thread.join()
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
+
+
+def _secular_roots(poles: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of F(lam) = lam - sum z2_k / (lam - poles_k) and weights 1 / F'(lam).
+
+    The poles are ascending and distinct, every z2_k > 0.  Root j lies
+    alone in (poles[j-1], poles[j]); the outer two lie within the coupling
+    norm of the outer poles or of 0.  Each root is held as an anchor pole
+    plus an offset mu and found by Newton's method on G(mu) = mu F(lam),
+    which is convex on the root's interval, negative next to the anchor and
+    positive on the far side.  Started on the far side, the iterates fall
+    monotonically onto the root, so a step that would leave the bracket
+    (anchor, mu) can only come from rounding and halves mu instead.
+
+    One O(n^2) pass forms every pole's moments (``_moments_block``), and
+    each weakly coupled root, one that hugs its pole, is solved from its
+    pole's series (``_series_roots``).  The rest (the roots near the atom's
+    level, intervals owned twice or not at all, and any root the series
+    cannot certify) are solved by direct O(n) sums per Newton step
+    (``_secular_block``), from the midpoints of their intervals (the outer
+    ends for the outer two).  Both passes run in blocks of ``_BLOCK_BYTES``
+    of work per worker, two arrays of half the rows for the moments,
+    shared out by ``_share``, so the roots do not depend on the number of
+    workers.
+    """
+    m = len(poles)
+    vals = np.empty(m + 1)
+    weights = np.empty(m + 1)
+    rows = max(2, _BLOCK_BYTES // (8 * m))
+    s = np.empty((m, _SERIES_ORDER + 2))
+    _share(m, rows // 2, (2, min(rows // 2, m), m),
+           lambda block, work: _moments_block(block, poles, z2, s, work))
+    direct = _series_roots(poles, z2, s, vals, weights)
+    norm = math.sqrt(float(z2.sum()))
+    lo = np.concatenate(([min(0.0, poles[0]) - norm], poles))
+    hi = np.concatenate((poles, [max(0.0, poles[-1]) + norm]))
+    start = 0.5 * (lo + hi)
+    start[0], start[-1] = lo[0], hi[-1]
+    _share(len(direct), rows, (min(rows, len(direct)), m),
+           lambda block, work: _secular_block(direct[block.start:block.stop], poles, z2,
+                                              start, vals, weights, work))
     return vals, weights
 
 
@@ -368,8 +511,9 @@ def _arrowhead_eigensystem(modes: DiscretizedModes, omega0: float):
     their eigenvectors, 1 / (1 + sum g_k^2 / (lam - delta_k)^2).  Couplings
     at or below eps * scale, and all but the first pole of a tie (which
     takes the tie's whole coupling weight), leave their pole as an
-    eigenvalue of weight 0.  O(n^2) time, shared over one thread per CPU,
-    and O(n) memory: one 1 MB block of roots per thread.
+    eigenvalue of weight 0.  O(n^2) time in one moments pass (plus direct
+    sums for the few roots the series leave), shared over one thread per
+    CPU, and O(n) memory: 1 MB of work per thread.
     """
     if len(modes.omega) > _ED_MAX_MODES:
         raise DomainError(_ED_TOO_LARGE)
@@ -410,8 +554,9 @@ def survival_probability(modes: DiscretizedModes, omega0: float, tau: float,
     """
     if tau <= 0:
         raise DomainError("tau must be positive")
-    if len(modes.omega) < 2:
-        raise DomainError("the recurrence guard needs at least two modes")
+    if len(modes.omega) < 2 or np.ptp(modes.omega) == 0.0:
+        raise DomainError(
+            "the recurrence guard needs modes at two or more distinct frequencies")
     # the mean spacing, which does not depend on the order of the modes
     recurrence = _TWO_PI * (len(modes.omega) - 1) / np.ptp(modes.omega)
     if tau * 10.0 > recurrence:

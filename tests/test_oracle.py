@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -186,9 +187,13 @@ def test_survival_recurrence_guard():
     # spacing 5e-3 -> recurrence ~ 1257; tau=1000 violates the 10x margin
     with pytest.raises(DomainError):
         survival_probability(modes, 1.0, 1000.0, cfg)
-    # one mode has no spacing to guard with
+    # one mode, or modes all at one frequency, have no spacing to guard with
     with pytest.raises(DomainError):
         survival_probability(DiscretizedModes(modes.omega[:1], modes.g[:1]), 1.0, 1.0, cfg)
+    tied = DiscretizedModes(np.ones(3), modes.g[:3])
+    for method in ("rk4", "exact_diagonalization"):
+        with pytest.raises(DomainError, match="distinct frequencies"):
+            survival_probability(tied, 1.0, 1.0, replace(cfg, method=method))
 
 
 @pytest.mark.parametrize("method", ["rk4", "exact_diagonalization"])
@@ -487,6 +492,11 @@ def _secular_problem(n_modes):
     return modes.omega - 1.0, modes.g ** 2
 
 
+def _all_direct(monkeypatch):
+    """Send every root to direct sums: no pole's series may be tried."""
+    monkeypatch.setattr(oracle, "_SERIES_RHO", 0.0)
+
+
 @pytest.mark.parametrize("n_modes", [100, 2000, 5000])
 def test_secular_roots_do_not_depend_on_the_worker_count(monkeypatch, n_modes):
     # 1 block at 100 modes, 31 (the last partial) at 2000 and 193 at 5000
@@ -536,22 +546,76 @@ def test_secular_failure_raises_alike_and_leaves_no_thread(monkeypatch):
 
 
 def test_the_first_failing_secular_block_raises(monkeypatch):
-    # blocks 1 and 2 of 31 fail, on helper threads when there are several
+    # blocks 1 and 2 fail, on helper threads when there are several: of the
+    # 63 moments blocks of 32 poles, then, with every root sent to direct
+    # sums, of the 31 direct blocks of 65 roots
     poles, z2 = _secular_problem(2000)
-    solve = oracle._secular_block
-
-    def failing(j, *args):
-        if j[0] in (65, 130):
-            raise NumericalError(f"block at root {j[0]}")
-        solve(j, *args)
-
-    monkeypatch.setattr(oracle, "_secular_block", failing)
     before = threading.active_count()
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(oracle, "_cpu_count", lambda: workers)
-        with pytest.raises(NumericalError, match="^block at root 65$"):
-            _secular_roots(poles, z2)
-        assert threading.active_count() == before
+    for name, rows in (("_moments_block", 32), ("_secular_block", 65)):
+        solve = getattr(oracle, name)
+
+        def failing(block, *args, solve=solve, rows=rows):
+            if block[0] in (rows, 2 * rows):
+                raise NumericalError(f"block at {block[0]}")
+            solve(block, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, name, failing)
+            _all_direct(patch)
+            for workers in (1, 2, 3):
+                patch.setattr(oracle, "_cpu_count", lambda: workers)
+                with pytest.raises(NumericalError, match=f"^block at {rows}$"):
+                    _secular_roots(poles, z2)
+                assert threading.active_count() == before
+
+
+def _assert_series_matches_direct(default, direct, scale):
+    (vals, weights), (ref_vals, ref_weights) = default, direct
+    assert np.max(np.abs(vals - ref_vals)) <= 1e-15 * scale
+    assert np.all(np.abs(weights - ref_weights) <= 1e-13 * ref_weights)
+
+
+@pytest.mark.parametrize("eta, nu", [(1, 1e-2), (1, 3e-2), (3, 1e-2), (3, 3e-2)])
+def test_series_roots_match_direct_sums_at_the_benchmark_points(monkeypatch, eta, nu):
+    # the ED points of the oracle benchmark, where the series solve all but
+    # a few roots next to the atom's level
+    solve_roots, solve_block = oracle._secular_roots, oracle._secular_block
+    problems, direct = [], []
+
+    def roots(poles, z2):
+        problems.append((poles, z2))
+        return solve_roots(poles, z2)
+
+    def block(j, *args):
+        direct.extend(j)
+        solve_block(j, *args)
+
+    def ratio():
+        return oracle_rate(_desk_reservoir(eta), 1.0, MeasurementSchedule(nu=nu),
+                           OracleConfig(n_modes=2000, method="exact_diagonalization")).ratio
+
+    monkeypatch.setattr(oracle, "_secular_roots", roots)
+    monkeypatch.setattr(oracle, "_secular_block", block)
+    default = ratio()
+    assert 1 <= len(direct) <= 8
+    poles, z2 = problems[0]
+    series = solve_roots(poles, z2)
+    _all_direct(monkeypatch)
+    assert ratio() == pytest.approx(default, rel=1e-12, abs=0)
+    scale = max(np.max(np.abs(poles)), math.sqrt(z2.sum()))
+    _assert_series_matches_direct(series, solve_roots(poles, z2), scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_arrowheads(max_exponent=-3.0))
+def test_series_roots_match_direct_sums_at_weak_coupling(arrowhead):
+    modes, omega0 = arrowhead
+    default = _arrowhead_eigensystem(modes, omega0)
+    with pytest.MonkeyPatch.context() as patch:
+        _all_direct(patch)
+        direct = _arrowhead_eigensystem(modes, omega0)
+    scale = max(np.max(np.abs(modes.omega - omega0)), np.linalg.norm(modes.g))
+    _assert_series_matches_direct(default, direct, scale)
 
 
 # ---------------------------------------------------------------------------
