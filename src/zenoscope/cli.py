@@ -30,7 +30,6 @@ from typing import Callable, NoReturn
 
 import numpy as np
 
-from . import oracle
 from .decay import analytic_rate, modified_rate_quadrature
 from .errors import DomainError, NumericalError, ZenoscopeError
 from .experiment_ca import ca_estimate
@@ -148,6 +147,14 @@ def _sweep_csv_row(reservoir, omega0: float, nu: float, want_quad: bool,
                      flag, status])
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call outside Linux
+        return os.cpu_count() or 1
+
+
 def _worker(row: Callable, share: list, write_fd: int) -> NoReturn:
     """Write row(item) for each item of the share to write_fd, a line each,
     and exit with status 0 once all are written, 1 otherwise.  os._exit
@@ -211,7 +218,7 @@ def _print_rows(row: Callable, items: list, quadrature: bool) -> None:
     """
     workers = 1
     if quadrature and sys.platform == "linux" and threading.active_count() == 1:
-        workers = min(oracle._cpu_count(), len(items) // _ROWS_PER_WORKER)
+        workers = min(_cpu_count(), len(items) // _ROWS_PER_WORKER)
     if workers > 1:
         # computed before any fork, so that a warning it raises is in the
         # registry every worker inherits, and prints once as it does serially

@@ -15,13 +15,12 @@ with no dense matrix.  One pass forms, for every pole, the moments of the
 other poles' couplings; each weakly coupled root, one that hugs its pole,
 is solved from that pole's series and kept only where a remainder bound
 certifies it, and the few others (next to the atom's level) by direct
-sums over the poles.  Both passes run in blocks shared out over one
-thread per CPU, each with 1 MB of work arrays, and the roots do not
-depend on the number of threads.  RK4 sums its exact discrete
-solution p(-ihH)^n e_0 as a Chebyshev series in H, with no eigenvalues,
-so that it stays independent of the secular solver (about 15 ms at 10^4
-modes and 10^4 steps on a 2-core Xeon); the series is good to 1e-13 with
-the 80-bit long double of x86-64 Linux.
+sums over the poles.  Both passes run on the calling thread, in blocks
+of 1 MB of work arrays.  RK4 sums its exact discrete solution
+p(-ihH)^n e_0 as a Chebyshev series in H, with no eigenvalues, so that it
+stays independent of the secular solver (about 15 ms at 10^4 modes and
+10^4 steps on a 2-core Xeon); the series is good to 1e-13 with the 80-bit
+long double of x86-64 Linux.
 
 Because the modified/free rate ratio is coupling-independent in the
 perturbative regime that the rate formula describes, the rate extraction
@@ -33,8 +32,6 @@ that are outside the formula being validated.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -63,21 +60,23 @@ _TWO_PI = 2.0 * math.pi
 BAND_COVERAGE = 1e3
 
 _EPS = float(np.finfo(float).eps)
-# Bytes of each secular worker's (rows x poles) work arrays: the block of
-# poles or roots it takes at once is sized from them, so memory stays
-# O(n_modes) per worker.  The block also fixes the rows of each
-# matrix-vector product, whose rounding depends on them, so it does not
-# change with the workers.
+# Bytes of the secular passes' (rows x poles) work arrays: the block of
+# poles or roots taken at once is sized from them, so memory stays
+# O(n_modes).  The block also fixes the rows of each matrix-vector
+# product, whose rounding depends on them.
 _BLOCK_BYTES = 1 << 20
 _SECULAR_MAX_ITER = 64
 # Local series of a weakly coupled root about its pole: its order P (even)
 # and the largest offset tried, as a share rho of the distance to the
 # nearest other pole.  At the oracle benchmark's four ED points (2000
-# modes), P = 6 leaves 1-2 of the 2001 roots to direct sums; P = 4 leaves
-# 1-12 and P = 2 up to 1995, while P = 8 costs a quarter more time for at
-# most one root fewer.  The largest rho certified there was 4.0e-3, and a
-# cap of 0.5 in place of 1e-2 certified the same roots.
-_SERIES_ORDER = 6
+# modes), P = 4 leaves 11, 12, 2 and 1 of the 2001 roots to direct sums,
+# and P = 6 leaves 2, 2, 1 and 1, but forms two more moments per pole:
+# the solve took 24 ms at P = 4 against 27 ms at P = 6 on a 2-core Xeon.
+# At 16,000 modes (eta = 3, nu = 1e-3) P = 4 leaves 45 roots direct (P = 6
+# leaves 7) and takes 1.5-1.7 s against 2.0-2.4 s, with the same ratio.
+# P = 2 leaves up to 1995.  The largest rho certified was 4.0e-3, and a cap
+# of 0.5 in place of 1e-2 certified the same roots.
+_SERIES_ORDER = 4
 _SERIES_RHO = 1e-2
 # Mode limits: ED time grows as n_modes**2; RK4 peaks at about 64 B per mode.
 _ED_MAX_MODES = 20_000
@@ -106,8 +105,9 @@ class OracleConfig:
     coupling_scale: float | None = None
 
     def __post_init__(self):
-        if not 100 <= self.n_modes <= _MAX_MODES:
-            raise DomainError(f"n_modes must lie in [100, {_MAX_MODES}]")
+        # the range first: int() of an infinite or NaN count would raise
+        if not 100 <= self.n_modes <= _MAX_MODES or self.n_modes != int(self.n_modes):
+            raise DomainError(f"n_modes must be a whole number in [100, {_MAX_MODES}]")
         if self.method not in (METHOD_RK4, METHOD_ED):
             raise DomainError(f"method must be '{METHOD_RK4}' or '{METHOD_ED}'")
         if self.method == METHOD_ED and self.n_modes > _ED_MAX_MODES:
@@ -417,50 +417,6 @@ def _series_roots(poles: np.ndarray, z2: np.ndarray, s: np.ndarray, vals: np.nda
     return np.flatnonzero(direct)
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call outside Linux
-        return os.cpu_count() or 1
-
-
-def _share(count: int, rows: int, shape: tuple[int, ...], task) -> None:
-    """Run task(block, work) on the blocks range(first, first + rows) of range(count).
-
-    The blocks are dealt out round-robin to one worker per CPU, at most one
-    per block: the calling thread and a thread per further worker, each
-    with its own work array of the given shape.  A block makes the same
-    calls whichever worker runs it.  Every thread is joined before the call
-    returns; of the blocks that fail, the first raises, as it would
-    serially.
-    """
-    firsts = range(0, count, rows)
-    workers = min(_cpu_count(), len(firsts))
-    failures = []
-
-    def solve(share: range) -> None:
-        first = share[0]
-        try:
-            work = np.empty(shape)
-            for first in share:
-                task(range(first, min(first + rows, count)), work)
-        except Exception as exc:
-            failures.append((first, exc))
-
-    helpers = [threading.Thread(target=solve, args=(firsts[i::workers],))
-               for i in range(1, workers)]
-    for thread in helpers:
-        thread.start()
-    try:
-        solve(firsts[0::workers])
-    finally:
-        for thread in helpers:
-            thread.join()
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-
-
 def _secular_roots(poles: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Roots of F(lam) = lam - sum z2_k / (lam - poles_k) and weights 1 / F'(lam).
 
@@ -480,26 +436,26 @@ def _secular_roots(poles: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.nd
     cannot certify) are solved by direct O(n) sums per Newton step
     (``_secular_block``), from the midpoints of their intervals (the outer
     ends for the outer two).  Both passes run in blocks of ``_BLOCK_BYTES``
-    of work per worker, two arrays of half the rows for the moments,
-    shared out by ``_share``, so the roots do not depend on the number of
-    workers.
+    of work, two arrays of half the rows for the moments.
     """
     m = len(poles)
     vals = np.empty(m + 1)
     weights = np.empty(m + 1)
     rows = max(2, _BLOCK_BYTES // (8 * m))
+    half = rows // 2
     s = np.empty((m, _SERIES_ORDER + 2))
-    _share(m, rows // 2, (2, min(rows // 2, m), m),
-           lambda block, work: _moments_block(block, poles, z2, s, work))
+    work = np.empty((2, min(half, m), m))
+    for first in range(0, m, half):
+        _moments_block(range(first, min(first + half, m)), poles, z2, s, work)
     direct = _series_roots(poles, z2, s, vals, weights)
     norm = math.sqrt(float(z2.sum()))
     lo = np.concatenate(([min(0.0, poles[0]) - norm], poles))
     hi = np.concatenate((poles, [max(0.0, poles[-1]) + norm]))
     start = 0.5 * (lo + hi)
     start[0], start[-1] = lo[0], hi[-1]
-    _share(len(direct), rows, (min(rows, len(direct)), m),
-           lambda block, work: _secular_block(direct[block.start:block.stop], poles, z2,
-                                              start, vals, weights, work))
+    work = np.empty((min(rows, len(direct)), m))
+    for first in range(0, len(direct), rows):
+        _secular_block(direct[first:first + rows], poles, z2, start, vals, weights, work)
     return vals, weights
 
 
@@ -512,8 +468,7 @@ def _arrowhead_eigensystem(modes: DiscretizedModes, omega0: float):
     at or below eps * scale, and all but the first pole of a tie (which
     takes the tie's whole coupling weight), leave their pole as an
     eigenvalue of weight 0.  O(n^2) time in one moments pass (plus direct
-    sums for the few roots the series leave), shared over one thread per
-    CPU, and O(n) memory: 1 MB of work per thread.
+    sums for the few roots the series leave) and O(n) memory: 1 MB of work.
     """
     if len(modes.omega) > _ED_MAX_MODES:
         raise DomainError(_ED_TOO_LARGE)

@@ -210,7 +210,8 @@ class SimpleReservoir:
     omega_x: float
 
     def __post_init__(self):
-        if self.eta < 1 or self.eta != int(self.eta):
+        # the range first: int() of an infinite or NaN eta would raise
+        if not 1 <= self.eta < math.inf or self.eta != int(self.eta):
             raise DomainError("eta must be an integer >= 1")
         if 2 * self.mu <= self.eta + 1:
             raise DomainError("integrability requires 2*mu > eta + 1")

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zenoscope import cli, oracle
+from zenoscope import cli
 from zenoscope.cli import FIGURE2_HEADER, SWEEP_HEADER, SweepSpec, dumps_json, main
 from zenoscope.decay import modified_rate_quadrature
 from zenoscope.errors import DomainError
@@ -416,7 +416,7 @@ def test_split_output_equals_the_serial_output(capsys, monkeypatch, argv):
     forks = _count_forks(monkeypatch)
     outs = []
     for cpus in (1, 2, 3):
-        monkeypatch.setattr(oracle, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         outs.append(out)
@@ -441,7 +441,7 @@ def test_a_raising_row_raises_as_serially_and_leaves_no_worker(capsys, monkeypat
     forks = _count_forks(monkeypatch)
     outs = []
     for cpus in (1, 2):
-        monkeypatch.setattr(oracle, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
         with pytest.raises(RuntimeError, match=f"^row {bad}$"):
             main(list(LONG_SWEEP))
         with pytest.raises(ChildProcessError):
@@ -453,7 +453,7 @@ def test_a_raising_row_raises_as_serially_and_leaves_no_worker(capsys, monkeypat
 
 
 def test_requests_too_short_to_pay_for_a_fork_do_not_fork(capsys, monkeypatch):
-    monkeypatch.setattr(oracle, "_cpu_count", lambda: 8)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 8)
     forks = _count_forks(monkeypatch, refuse=True)
     nu = ("--nu-min", "1e-4", "--nu-max", "1e-2")
     for argv in (("sweep", "--transition", "3D-1S", *nu, "--points", "20"),
@@ -467,7 +467,7 @@ def test_requests_too_short_to_pay_for_a_fork_do_not_fork(capsys, monkeypatch):
 
 def test_no_fork_beside_another_thread_or_off_linux(capsys, monkeypatch):
     golden = (DATA / "golden" / "figure2-points200.csv").read_text()
-    monkeypatch.setattr(oracle, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
     forks = _count_forks(monkeypatch, refuse=True)
     release = threading.Event()
     thread = threading.Thread(target=release.wait, args=(60,))
@@ -492,8 +492,8 @@ def test_a_warning_prints_once_whatever_the_worker_count(tmp_path):
     path = _config_with(tmp_path, z=60.0)
     script = "\n".join([
         "import sys",
-        "from zenoscope import cli, oracle",
-        "oracle._cpu_count = lambda: int(sys.argv[1])",
+        "from zenoscope import cli",
+        "cli._cpu_count = lambda: int(sys.argv[1])",
         "forks = []",
         "sys.addaudithook(lambda event, args: event == 'os.fork' and forks.append(1))",
         "code = cli.main(sys.argv[2:])",

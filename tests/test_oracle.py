@@ -1,7 +1,6 @@
 """Discretized-mode dynamics: golden-rule limits, unitarity, cross-route checks."""
 
 import math
-import sys
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -60,6 +59,9 @@ def test_oracle_config_validation():
         OracleConfig(dt=-0.1)
     with pytest.raises(DomainError):
         OracleConfig(coupling_scale=0.0)
+    with pytest.raises(DomainError, match="whole number"):
+        OracleConfig(n_modes=100.5)
+    assert OracleConfig(n_modes=np.int64(2000)).n_modes == 2000
 
 
 @pytest.mark.parametrize("field", ["dt", "coupling_scale"])
@@ -497,35 +499,14 @@ def _all_direct(monkeypatch):
     monkeypatch.setattr(oracle, "_SERIES_RHO", 0.0)
 
 
-@pytest.mark.parametrize("n_modes", [100, 2000, 5000])
-def test_secular_roots_do_not_depend_on_the_worker_count(monkeypatch, n_modes):
-    # 1 block at 100 modes, 31 (the last partial) at 2000 and 193 at 5000
-    # threads switch often, and 3 workers may outnumber the CPUs
-    poles, z2 = _secular_problem(n_modes)
-    default = _secular_roots(poles, z2)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for workers in (1, 3):
-            monkeypatch.setattr(oracle, "_cpu_count", lambda: workers)
-            roots, weights = _secular_roots(poles, z2)
-            assert np.array_equal(roots, default[0]) and np.array_equal(weights, default[1])
-    finally:
-        sys.setswitchinterval(interval)
+def test_exact_diagonalization_starts_no_thread(monkeypatch):
+    def refuse(thread):
+        raise RuntimeError("a thread was started")
 
-
-@pytest.mark.parametrize("eta, nu", [(1, 1e-2), (1, 3e-2), (3, 1e-2), (3, 3e-2)])
-def test_exact_diagonalization_ratio_does_not_depend_on_the_worker_count(
-        monkeypatch, eta, nu):
-    # the ED points of the oracle benchmark
-    def ratio():
-        return oracle_rate(_desk_reservoir(eta), 1.0, MeasurementSchedule(nu=nu),
-                           OracleConfig(n_modes=2000, method="exact_diagonalization")).ratio
-
-    default = ratio()
-    for workers in (1, 3):
-        monkeypatch.setattr(oracle, "_cpu_count", lambda: workers)
-        assert ratio() == default
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    result = oracle_rate(_desk_reservoir(3), 1.0, MeasurementSchedule(nu=1e-2),
+                         OracleConfig(n_modes=2000, method="exact_diagonalization"))
+    assert 1.0 < result.ratio < 2.0
 
 
 def test_secular_failure_raises_alike_and_leaves_no_thread(monkeypatch):
@@ -535,20 +516,14 @@ def test_secular_failure_raises_alike_and_leaves_no_thread(monkeypatch):
     _arrowhead_eigensystem(modes, 1.0)
     assert threading.active_count() == before
     monkeypatch.setattr(oracle, "_SECULAR_MAX_ITER", 1)
-    messages = []
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(oracle, "_cpu_count", lambda: workers)
-        with pytest.raises(NumericalError, match="unconverged after 1 Newton steps") as err:
-            _arrowhead_eigensystem(modes, 1.0)
-        messages.append(str(err.value))
-        assert threading.active_count() == before
-    assert messages[1:] == messages[:-1]
+    with pytest.raises(NumericalError, match="unconverged after 1 Newton steps"):
+        _arrowhead_eigensystem(modes, 1.0)
+    assert threading.active_count() == before
 
 
 def test_the_first_failing_secular_block_raises(monkeypatch):
-    # blocks 1 and 2 fail, on helper threads when there are several: of the
-    # 63 moments blocks of 32 poles, then, with every root sent to direct
-    # sums, of the 31 direct blocks of 65 roots
+    # blocks 1 and 2 fail: of the 63 moments blocks of 32 poles, then, with
+    # every root sent to direct sums, of the 31 direct blocks of 65 roots
     poles, z2 = _secular_problem(2000)
     before = threading.active_count()
     for name, rows in (("_moments_block", 32), ("_secular_block", 65)):
@@ -562,11 +537,9 @@ def test_the_first_failing_secular_block_raises(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(oracle, name, failing)
             _all_direct(patch)
-            for workers in (1, 2, 3):
-                patch.setattr(oracle, "_cpu_count", lambda: workers)
-                with pytest.raises(NumericalError, match=f"^block at {rows}$"):
-                    _secular_roots(poles, z2)
-                assert threading.active_count() == before
+            with pytest.raises(NumericalError, match=f"^block at {rows}$"):
+                _secular_roots(poles, z2)
+            assert threading.active_count() == before
 
 
 def _assert_series_matches_direct(default, direct, scale):
@@ -597,7 +570,7 @@ def test_series_roots_match_direct_sums_at_the_benchmark_points(monkeypatch, eta
     monkeypatch.setattr(oracle, "_secular_roots", roots)
     monkeypatch.setattr(oracle, "_secular_block", block)
     default = ratio()
-    assert 1 <= len(direct) <= 8
+    assert 1 <= len(direct) <= 16
     poles, z2 = problems[0]
     series = solve_roots(poles, z2)
     _all_direct(monkeypatch)

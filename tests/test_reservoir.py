@@ -167,6 +167,9 @@ def test_simple_reservoir_validation():
         SimpleReservoir(d=1.0, eta=0, mu=4, omega_x=10.0)
     with pytest.raises(DomainError):
         SimpleReservoir(d=1.0, eta=2.5, mu=4, omega_x=10.0)  # eta is 2J - 1 + 2 epsilon
+    for eta in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="eta"):
+            SimpleReservoir(d=1.0, eta=eta, mu=4, omega_x=10.0)
     with pytest.raises(DomainError):
         SimpleReservoir(d=1.0, eta=3, mu=2, omega_x=10.0)  # 2mu <= eta+1
     with pytest.raises(DomainError):
