@@ -10,13 +10,15 @@ interval determines the rate: Gamma = -ln P(tau) / tau.
 
 Two integration routes guard against integrator bias: fixed-step RK4
 (default) and exact diagonalization of the arrowhead Hamiltonian, which
-solves its secular equation in O(n_modes^2) time and O(n_modes) memory,
-with no dense matrix.  One pass forms, for every pole, the moments of the
-other poles' couplings; each weakly coupled root, one that hugs its pole,
-is solved from that pole's series and kept only where a remainder bound
+solves its secular equation in O(n_modes) memory, with no dense matrix.
+One pass forms, for every pole, the moments of the other poles'
+couplings: on the uniform mode grid as one FFT convolution, in
+O(n_modes log n_modes) time, and off it by blocked direct sums, in
+O(n_modes^2).  Each weakly coupled root, one that hugs its pole, is
+solved from that pole's series and kept only where a remainder bound
 certifies it, and the few others (next to the atom's level) by direct
-sums over the poles.  Both passes run on the calling thread, in blocks
-of 1 MB of work arrays.  RK4 sums its exact discrete solution
+sums over the poles, in blocks of 1 MB of work arrays.  Everything runs
+on the calling thread.  RK4 sums its exact discrete solution
 p(-ihH)^n e_0 as a Chebyshev series in H, with no eigenvalues, so that it
 stays independent of the secular solver (about 15 ms at 10^4 modes and
 10^4 steps on a 2-core Xeon); the series is good to 1e-13 with the 80-bit
@@ -61,28 +63,41 @@ BAND_COVERAGE = 1e3
 
 _EPS = float(np.finfo(float).eps)
 # Bytes of the secular passes' (rows x poles) work arrays: the block of
-# poles or roots taken at once is sized from them, so memory stays
-# O(n_modes).  The block also fixes the rows of each matrix-vector
-# product, whose rounding depends on them.
+# poles or roots summed directly at once is sized from them, so memory
+# stays O(n_modes).  The block also fixes the rows of each matrix-vector
+# product, whose rounding depends on them.  Off a lattice every pole's
+# moments are summed so, in O(n_modes^2); on one only the few poles
+# whose FFT moments are too loose (6 and 4 of 2000 at the oracle
+# benchmark's two eta = 3 ED points, 83 of 16,000 at eta = 3, nu = 1e-3).
 _BLOCK_BYTES = 1 << 20
 _SECULAR_MAX_ITER = 64
 # Local series of a weakly coupled root about its pole: its order P (even)
 # and the largest offset tried, as a share rho of the distance to the
 # nearest other pole.  At the oracle benchmark's four ED points (2000
 # modes), P = 4 leaves 11, 12, 2 and 1 of the 2001 roots to direct sums,
-# and P = 6 leaves 2, 2, 1 and 1, but forms two more moments per pole:
-# the solve took 24 ms at P = 4 against 27 ms at P = 6 on a 2-core Xeon.
-# At 16,000 modes (eta = 3, nu = 1e-3) P = 4 leaves 45 roots direct (P = 6
-# leaves 7) and takes 1.5-1.7 s against 2.0-2.4 s, with the same ratio.
-# P = 2 leaves up to 1995.  The largest rho certified was 4.0e-3, and a cap
-# of 0.5 in place of 1e-2 certified the same roots.
+# and P = 6 leaves 2, 2, 1 and 1, but forms two more moments per pole.
+# With the moments by FFT, medians of 40 solves on a 2-core Xeon took
+# 4.2-4.8 ms at P = 4 against 4.8-5.0 ms at P = 6, so P = 4 is kept; at
+# 16,000 modes (eta = 3, nu = 1e-3) P = 4 leaves 45 roots direct (P = 6
+# leaves 7) and takes 43 ms against 32 ms, with the same ratio.  With the
+# moments summed directly P = 4 also won at 2000 modes, 24 ms against
+# 27 ms.  P = 2 leaves up to 1995.  The largest rho certified was 4.0e-3,
+# and a cap of 0.5 in place of 1e-2 certified the same roots.
 _SERIES_ORDER = 4
 _SERIES_RHO = 1e-2
-# Mode limits: ED time grows as n_modes**2; RK4 peaks at about 64 B per mode.
+# Moments by FFT (_lattice_moments): how far a pole may sit off the
+# lattice, in eps * scale (the oracle's grids sit within 2.5), the lags
+# summed directly on each side, and the relative accuracy demanded of
+# S_(P+1), which the series certificate reads.
+_LATTICE_TOL = 32.0
+_LATTICE_NEAR = 8
+_LATTICE_RTOL = 1e-10
+# Mode limits: ED off a lattice takes O(n_modes**2) time (about 1.5 s at
+# 16,000 modes); RK4 peaks at about 64 B per mode.
 _ED_MAX_MODES = 20_000
 _MAX_MODES = 1_000_000
 _ED_TOO_LARGE = (f"exact diagonalization is limited to n_modes <= {_ED_MAX_MODES} "
-                 "(its time grows as n_modes**2)")
+                 "(off a uniform grid its time grows as n_modes**2)")
 
 METHOD_RK4 = "rk4"
 METHOD_ED = "exact_diagonalization"
@@ -114,8 +129,8 @@ class OracleConfig:
             raise DomainError(_ED_TOO_LARGE)
         if self.band is not None:
             lo, hi = self.band
-            if not (lo >= 0.0 and hi > lo):
-                raise DomainError("band must satisfy 0 <= omega_lo < omega_hi")
+            if not 0.0 <= lo < hi < math.inf:
+                raise DomainError("band must satisfy 0 <= omega_lo < omega_hi < inf")
         for name in ("dt", "coupling_scale"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:
@@ -333,7 +348,7 @@ def _secular_block(j: np.ndarray, poles: np.ndarray, z2: np.ndarray, start: np.n
     weights[j] = 1.0 / slope
 
 
-def _moments_block(rows: range, poles: np.ndarray, z2: np.ndarray, s: np.ndarray,
+def _moments_block(rows, poles: np.ndarray, z2: np.ndarray, s: np.ndarray,
                    work: np.ndarray) -> None:
     """s[a, p] = sum over k != a of z2_k / (poles[a] - poles[k])^(p+1), a in rows.
 
@@ -341,7 +356,7 @@ def _moments_block(rows: range, poles: np.ndarray, z2: np.ndarray, s: np.ndarray
     1 / (poles[a] - poles[k]) and its running power.
     """
     inv, power = work[0, :len(rows)], work[1, :len(rows)]
-    a = np.arange(rows.start, rows.stop)
+    a = np.asarray(rows)
     np.copyto(inv, poles[a][:, None])
     inv -= poles
     inv[np.arange(len(a)), a] = np.inf
@@ -354,6 +369,95 @@ def _moments_block(rows: range, poles: np.ndarray, z2: np.ndarray, s: np.ndarray
             if p > 1:
                 power *= inv
             s[a, p] = power @ z2
+
+
+def _lattice(poles: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """(idx, h) with every pole within ``_LATTICE_TOL`` eps * scale of
+    poles[0] + idx * h, idx ascending from 0 and below 2 * len(poles); or
+    None when the poles lie on no such lattice."""
+    m = len(poles)
+    span = poles[-1] - poles[0]
+    h0 = float(np.diff(poles).min()) if m > 1 else 0.0
+    # so that idx[-1] = rint(span / h0) <= 2 m - 1
+    if not span < (2 * m - 0.5) * h0:
+        return None
+    idx = np.rint((poles - poles[0]) / h0).astype(np.int64)
+    h = span / idx[-1]
+    tol = _LATTICE_TOL * _EPS * max(abs(poles[0]), abs(poles[-1]))
+    if np.all(np.diff(idx) > 0) and np.all(np.abs(poles[0] + idx * h - poles) <= tol):
+        return idx, h
+    return None
+
+
+def _lattice_moments(poles: np.ndarray, z2: np.ndarray, idx: np.ndarray, h: float,
+                     s: np.ndarray) -> np.ndarray:
+    """Fill s as ``_moments_block`` does, for poles on the lattice of ``_lattice``.
+
+    With z2 set on the lattice (0 at its holes), S_p(a) = sum over lags j of
+    z2(idx_a - j) K_p(j), K_p(j) = (j h)^-(p+1) and K_p(0) = 0: a linear
+    convolution, taken for every p by one FFT of z2, one of the kernels and
+    one inverse.  The ``_LATTICE_NEAR`` nearest lags on each side are left
+    out of the kernels and summed directly over the poles' own differences.
+    The FFT's rounding is on the scale of the largest couplings, so where
+    the couplings are weak it may still leave S_(P+1), which the series
+    certificate reads, too far off.  Each of the three transforms adds
+    about 6.7 eps log2(size) of its input's norm (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 24), so
+    20 eps log2(size) |z2|_2 |K_(P+1)|_1 bounds it (the errors measured at
+    the oracle's weakly coupled poles stay below 3% of that), and it must
+    stay below ``_LATTICE_RTOL`` S_(P+1).  Returns the poles where it does
+    not, whose moments the caller sums directly.
+    """
+    n_lat = int(idx[-1]) + 1
+    size = 1 << (2 * n_lat - 1).bit_length()
+    powers = np.arange(1, s.shape[1] + 1)[:, None]
+    kernels = np.zeros((s.shape[1], size))
+    kernels[:, _LATTICE_NEAR + 1:n_lat] = np.arange(_LATTICE_NEAR + 1.0, n_lat) ** -powers
+    # K_p(-j) = (-1)^(p+1) K_p(j)
+    kernels[:, size - n_lat + 1:size - _LATTICE_NEAR] = (
+        kernels[:, n_lat - 1:_LATTICE_NEAR:-1] * (-1.0) ** powers)
+    weights = np.zeros(size)
+    weights[idx] = z2
+    far = np.fft.irfft(np.fft.rfft(kernels) * np.fft.rfft(weights), size)
+    # the lattice's own points stand in for its holes, whose weights are 0
+    at = poles[0] + np.arange(n_lat) * h
+    at[idx] = poles
+    weights = weights[:n_lat]
+    near = np.zeros((s.shape[1], n_lat))
+    # as in _moments_block, a close pair of poles may overflow the high powers
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, min(_LATTICE_NEAR, n_lat - 1) + 1):
+            # 1 / (pole i + j - pole i), then its powers
+            inv = 1.0 / (at[j:] - at[:-j])
+            power = inv.copy()
+            for p in range(s.shape[1]):
+                near[p, j:] += weights[:-j] * power
+                near[p, :-j] += weights[j:] * (power if p % 2 else -power)
+                power *= inv
+        scale = h ** -powers
+        s[:] = (far[:, idx] * scale + near[:, idx]).T
+        bound = (20.0 * _EPS * math.log2(size) * np.linalg.norm(z2)
+                 * np.abs(kernels[-1]).sum() * scale[-1, 0])
+        return np.flatnonzero(~(bound <= _LATTICE_RTOL * s[:, -1]))
+
+
+def _moments(poles: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """The moments s[a, p] of ``_moments_block``, p = 0 .. P + 1, of every pole.
+
+    On a lattice they come from one FFT convolution (``_lattice_moments``),
+    in O(n log n); off it, and at the poles where the FFT's rounding bound
+    is too loose, from direct sums, O(n) a pole, in blocks of two arrays of
+    half the rows that ``_BLOCK_BYTES`` holds.
+    """
+    m = len(poles)
+    half = max(2, _BLOCK_BYTES // (8 * m)) // 2
+    s = np.empty((m, _SERIES_ORDER + 2))
+    lattice = _lattice(poles)
+    redo = range(m) if lattice is None else _lattice_moments(poles, z2, *lattice, s)
+    work = np.empty((2, min(half, len(redo)), m))
+    for first in range(0, len(redo), half):
+        _moments_block(redo[first:first + half], poles, z2, s, work)
+    return s
 
 
 def _series_roots(poles: np.ndarray, z2: np.ndarray, s: np.ndarray, vals: np.ndarray,
@@ -429,30 +533,26 @@ def _secular_roots(poles: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.nd
     monotonically onto the root, so a step that would leave the bracket
     (anchor, mu) can only come from rounding and halves mu instead.
 
-    One O(n^2) pass forms every pole's moments (``_moments_block``), and
-    each weakly coupled root, one that hugs its pole, is solved from its
-    pole's series (``_series_roots``).  The rest (the roots near the atom's
-    level, intervals owned twice or not at all, and any root the series
-    cannot certify) are solved by direct O(n) sums per Newton step
-    (``_secular_block``), from the midpoints of their intervals (the outer
-    ends for the outer two).  Both passes run in blocks of ``_BLOCK_BYTES``
-    of work, two arrays of half the rows for the moments.
+    One pass forms every pole's moments (``_moments``): on a uniform grid,
+    holes allowed, as one FFT convolution in O(n log n), and otherwise by
+    blocked direct sums in O(n^2).  Each weakly coupled root, one that hugs
+    its pole, is solved from its pole's series (``_series_roots``).  The
+    rest (the roots near the atom's level, intervals owned twice or not at
+    all, and any root the series cannot certify) are solved by direct O(n)
+    sums per Newton step (``_secular_block``), from the midpoints of their
+    intervals (the outer ends for the outer two), in blocks of
+    ``_BLOCK_BYTES`` of work.
     """
     m = len(poles)
     vals = np.empty(m + 1)
     weights = np.empty(m + 1)
-    rows = max(2, _BLOCK_BYTES // (8 * m))
-    half = rows // 2
-    s = np.empty((m, _SERIES_ORDER + 2))
-    work = np.empty((2, min(half, m), m))
-    for first in range(0, m, half):
-        _moments_block(range(first, min(first + half, m)), poles, z2, s, work)
-    direct = _series_roots(poles, z2, s, vals, weights)
+    direct = _series_roots(poles, z2, _moments(poles, z2), vals, weights)
     norm = math.sqrt(float(z2.sum()))
     lo = np.concatenate(([min(0.0, poles[0]) - norm], poles))
     hi = np.concatenate((poles, [max(0.0, poles[-1]) + norm]))
     start = 0.5 * (lo + hi)
     start[0], start[-1] = lo[0], hi[-1]
+    rows = max(2, _BLOCK_BYTES // (8 * m))
     work = np.empty((min(rows, len(direct)), m))
     for first in range(0, len(direct), rows):
         _secular_block(direct[first:first + rows], poles, z2, start, vals, weights, work)
@@ -467,8 +567,9 @@ def _arrowhead_eigensystem(modes: DiscretizedModes, omega0: float):
     their eigenvectors, 1 / (1 + sum g_k^2 / (lam - delta_k)^2).  Couplings
     at or below eps * scale, and all but the first pole of a tie (which
     takes the tie's whole coupling weight), leave their pole as an
-    eigenvalue of weight 0.  O(n^2) time in one moments pass (plus direct
-    sums for the few roots the series leave) and O(n) memory: 1 MB of work.
+    eigenvalue of weight 0.  One moments pass, O(n log n) on a uniform
+    grid such as ``discretize_reservoir``'s and O(n^2) off it, plus direct
+    sums for the few roots the series leave; O(n) memory, about 1 MB.
     """
     if len(modes.omega) > _ED_MAX_MODES:
         raise DomainError(_ED_TOO_LARGE)
@@ -621,8 +722,8 @@ class BandLimitedReservoir:
 
     def __init__(self, reservoir, band: tuple[float, float]):
         lo, hi = band
-        if not (lo >= 0 and hi > lo):
-            raise DomainError("band must satisfy 0 <= lo < hi")
+        if not 0.0 <= lo < hi < math.inf:
+            raise DomainError("band must satisfy 0 <= lo < hi < inf")
         self._inner = reservoir
         self.band = (float(lo), float(hi))
         self.omega_x = getattr(reservoir, "omega_x", None)

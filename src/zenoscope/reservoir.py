@@ -213,6 +213,9 @@ class SimpleReservoir:
         # the range first: int() of an infinite or NaN eta would raise
         if not 1 <= self.eta < math.inf or self.eta != int(self.eta):
             raise DomainError("eta must be an integer >= 1")
+        # a NaN mu would pass the integrability test below
+        if not math.isfinite(self.mu):
+            raise DomainError(f"mu must be finite, got {self.mu!r}")
         if 2 * self.mu <= self.eta + 1:
             raise DomainError("integrability requires 2*mu > eta + 1")
         if not 0.0 < self.omega_x < math.inf:
@@ -264,6 +267,9 @@ class FullReservoir:
     def __post_init__(self):
         if self.epsilon not in (0, 1):
             raise DomainError("epsilon must be 0 or 1")
+        # a NaN mu would pass every integrability test below
+        if not math.isfinite(self.mu):
+            raise DomainError(f"mu must be finite, got {self.mu!r}")
         if not 0.0 < self.omega_x < math.inf:
             raise DomainError("omega_x must be finite and positive")
         terms = tuple((int(j), int(r), float(d)) for j, r, d in self.terms)

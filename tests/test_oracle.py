@@ -62,6 +62,12 @@ def test_oracle_config_validation():
     with pytest.raises(DomainError, match="whole number"):
         OracleConfig(n_modes=100.5)
     assert OracleConfig(n_modes=np.int64(2000)).n_modes == 2000
+    # an infinite band edge would space the modes inf apart
+    for band in ((0.0, math.inf), (0.0, math.nan), (math.nan, 1.0)):
+        with pytest.raises(DomainError, match="band"):
+            OracleConfig(band=band)
+        with pytest.raises(DomainError, match="band"):
+            BandLimitedReservoir(_desk_reservoir(3), band)
 
 
 @pytest.mark.parametrize("field", ["dt", "coupling_scale"])
@@ -523,8 +529,12 @@ def test_secular_failure_raises_alike_and_leaves_no_thread(monkeypatch):
 
 def test_the_first_failing_secular_block_raises(monkeypatch):
     # blocks 1 and 2 fail: of the 63 moments blocks of 32 poles, then, with
-    # every root sent to direct sums, of the 31 direct blocks of 65 roots
+    # every root sent to direct sums, of the 31 direct blocks of 65 roots.
+    # The poles are jittered off their lattice, which would take the
+    # moments by FFT, with no blocks.
     poles, z2 = _secular_problem(2000)
+    poles = poles + np.random.default_rng(5).uniform(-0.1, 0.1, len(poles)) * np.diff(poles)[0]
+    assert oracle._lattice(poles) is None
     before = threading.active_count()
     for name, rows in (("_moments_block", 32), ("_secular_block", 65)):
         solve = getattr(oracle, name)
@@ -540,6 +550,95 @@ def test_the_first_failing_secular_block_raises(monkeypatch):
             with pytest.raises(NumericalError, match=f"^block at {rows}$"):
                 _secular_roots(poles, z2)
             assert threading.active_count() == before
+
+
+def _ed_problem(reservoir, nu, n_modes=2000):
+    """The poles and couplings that ED at n_modes hands the secular solver."""
+    problems = []
+    solve_roots = oracle._secular_roots
+
+    def roots(poles, z2):
+        problems.append((poles, z2))
+        return solve_roots(poles, z2)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_secular_roots", roots)
+        oracle_rate(reservoir, 1.0, MeasurementSchedule(nu=nu),
+                    OracleConfig(n_modes=n_modes, method="exact_diagonalization"))
+    return problems[0]
+
+
+def _holed(eta):
+    """The desk reservoir with no coupling on (1.3, 1.4) nor at every 7th of
+    2000 modes on (0, 11)."""
+    r = _desk_reservoir(eta)
+
+    def reservoir(w):
+        w = np.asarray(w, dtype=float)
+        keep = ((w <= 1.3) | (w >= 1.4)) & (np.floor(w * (2000 / 11.0)) % 7 != 3)
+        return np.where(keep, r(w), 0.0)
+    return reservoir
+
+
+def _direct_moments(poles, z2):
+    s = np.empty((len(poles), oracle._SERIES_ORDER + 2))
+    work = np.empty((2, 100, len(poles)))
+    for first in range(0, len(poles), 100):
+        oracle._moments_block(range(first, min(first + 100, len(poles))), poles, z2, s, work)
+    return s
+
+
+@pytest.mark.parametrize("eta, nu, holes", [
+    (1, 1e-2, False), (1, 3e-2, False), (3, 1e-2, False), (3, 3e-2, False), (3, 1e-2, True)])
+def test_lattice_moments_match_direct_sums(eta, nu, holes):
+    # the ED points of the oracle benchmark, and a grid with holes where
+    # the couplings vanish
+    reservoir = _holed(eta) if holes else _desk_reservoir(eta)
+    poles, z2 = _ed_problem(reservoir, nu)
+    idx, _ = oracle._lattice(poles)
+    assert idx[-1] == 1999 and len(poles) == (1697 if holes else 2000)
+    s, ref = oracle._moments(poles, z2), _direct_moments(poles, z2)
+    # the even powers, S_(P+1) among them, sum positive terms
+    assert np.all(np.abs(s[:, 1::2] / ref[:, 1::2] - 1.0) <= 1e-10)
+    # the odd powers alternate in sign: their error is measured against
+    # sum z2_k / |d_k|^(p+1) <= sqrt(S_(p-1) S_(p+1)) (Cauchy-Schwarz), S_-1 = sum z2
+    below = np.column_stack((np.full(len(poles), z2.sum()), ref[:, 1:-2:2]))
+    assert np.all(np.abs(s[:, ::2] - ref[:, ::2]) <= 1e-12 * np.sqrt(below * ref[:, 1::2]))
+
+
+def test_moments_take_the_fft_path_only_on_short_lattices(monkeypatch):
+    poles, z2 = _secular_problem(500)
+    idx, h = oracle._lattice(poles)
+    assert np.array_equal(idx, np.arange(500)) and h == pytest.approx(11.0 / 500, rel=1e-12)
+    holes = np.arange(500) % 5 != 2
+    holes[100:150] = False
+    idx, _ = oracle._lattice(poles[holes])
+    assert np.array_equal(idx, np.flatnonzero(holes))
+    rng = np.random.default_rng(1)
+    assert oracle._lattice(np.sort(rng.uniform(-1.0, 10.0, 500))) is None
+    # 100 poles spread over a lattice of 2n + 1 = 201 points; 200 points pass
+    assert oracle._lattice(poles[np.r_[0:99, 200]]) is None
+    assert oracle._lattice(poles[np.r_[0:99, 199]]) is not None
+    # direct blocks sum every jittered pole's moments, and on a lattice only
+    # those of the weakest coupled poles, where the FFT's rounding bound is
+    # loose: none on this grid, the lowest 6 at eta = 3 and nu = 1e-2
+    jittered = poles + rng.uniform(-0.1, 0.1, 500) * h
+    rows, solve = [], oracle._moments_block
+
+    def block(a, *args):
+        rows.extend(a)
+        solve(a, *args)
+
+    monkeypatch.setattr(oracle, "_moments_block", block)
+    oracle._moments(jittered, z2)
+    assert rows == list(range(500))
+    rows.clear()
+    oracle._moments(poles, z2)
+    assert rows == []
+    problem = _ed_problem(_desk_reservoir(3), 1e-2)
+    rows.clear()
+    oracle._moments(*problem)
+    assert rows == list(range(6))
 
 
 def _assert_series_matches_direct(default, direct, scale):
@@ -579,16 +678,38 @@ def test_series_roots_match_direct_sums_at_the_benchmark_points(monkeypatch, eta
     _assert_series_matches_direct(series, solve_roots(poles, z2), scale)
 
 
-@settings(max_examples=60, deadline=None)
-@given(_arrowheads(max_exponent=-3.0))
-def test_series_roots_match_direct_sums_at_weak_coupling(arrowhead):
-    modes, omega0 = arrowhead
+def _assert_eigensystem_matches_direct(modes, omega0):
     default = _arrowhead_eigensystem(modes, omega0)
     with pytest.MonkeyPatch.context() as patch:
         _all_direct(patch)
         direct = _arrowhead_eigensystem(modes, omega0)
     scale = max(np.max(np.abs(modes.omega - omega0)), np.linalg.norm(modes.g))
     _assert_series_matches_direct(default, direct, scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_arrowheads(max_exponent=-3.0))
+def test_series_roots_match_direct_sums_at_weak_coupling(arrowhead):
+    _assert_eigensystem_matches_direct(*arrowhead)
+
+
+def _lattices():
+    """Random (modes, omega0): n modes spaced h apart from omega_lo, a third
+    of their couplings 0 and the rest 10**e for e in [-8, -3]."""
+    coupling = st.floats(-8.0, -3.0).map(lambda e: 10.0 ** e)
+    g = st.lists(st.just(0.0) | coupling | coupling, min_size=2, max_size=120)
+    return st.builds(
+        lambda g, lo, h, omega0: (DiscretizedModes(lo + h * np.arange(len(g)), np.array(g)),
+                                  omega0),
+        g, st.floats(0.0, 1.0), st.floats(1e-3, 3e-2), st.floats(0.5, 2.5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lattices())
+def test_series_roots_match_direct_sums_on_lattices_with_holes(arrowhead):
+    # the moments come from the FFT whenever the coupled modes span at most
+    # twice their number of lattice points
+    _assert_eigensystem_matches_direct(*arrowhead)
 
 
 # ---------------------------------------------------------------------------

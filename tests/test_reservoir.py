@@ -172,6 +172,9 @@ def test_simple_reservoir_validation():
             SimpleReservoir(d=1.0, eta=eta, mu=4, omega_x=10.0)
     with pytest.raises(DomainError):
         SimpleReservoir(d=1.0, eta=3, mu=2, omega_x=10.0)  # 2mu <= eta+1
+    for mu in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="mu"):
+            SimpleReservoir(d=1.0, eta=3, mu=mu, omega_x=10.0)
     with pytest.raises(DomainError):
         SimpleReservoir(d=0.0, eta=1, mu=4, omega_x=10.0)
     with pytest.raises(DomainError):
@@ -318,6 +321,10 @@ def test_full_construction_errors():
     with pytest.raises(DomainError, match="D"):
         FullReservoir(terms=((2, 0, 1.0), (3, 0, math.inf)), epsilon=0, mu=6,
                       omega_x=1.0, j_range=(2, 3))
+    for mu in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="mu"):
+            FullReservoir(terms=((2, 0, 1.0),), epsilon=0, mu=mu, omega_x=1.0,
+                          j_range=(2, 3))
     # allowed when explicitly flagged degenerate
     r = FullReservoir(terms=((3, 0, 1.0),), epsilon=0, mu=6, omega_x=1.0,
                       j_range=(2, 3), degenerate_ok=True)
