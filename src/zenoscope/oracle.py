@@ -20,9 +20,11 @@ certifies it, and the few others (next to the atom's level) by direct
 sums over the poles, in blocks of 1 MB of work arrays.  Everything runs
 on the calling thread.  RK4 sums its exact discrete solution
 p(-ihH)^n e_0 as a Chebyshev series in H, with no eigenvalues, so that it
-stays independent of the secular solver (about 15 ms at 10^4 modes and
-10^4 steps on a 2-core Xeon); the series is good to 1e-13 with the 80-bit
-long double of x86-64 Linux.
+stays independent of the secular solver; the series is good to 1e-13 with
+the 80-bit long double of x86-64 Linux.  Its moments eliminate the modes
+exactly: the modes' own Chebyshev moments, by baby and giant steps and
+one matrix product per chunk of modes, then a scalar Toeplitz solve for
+the atom's (about 3-5 ms at 10^4 modes and 10^4 steps on a 2-core Xeon).
 
 Because the modified/free rate ratio is coupling-independent in the
 perturbative regime that the rate formula describes, the rate extraction
@@ -92,8 +94,12 @@ _SERIES_RHO = 1e-2
 _LATTICE_TOL = 32.0
 _LATTICE_NEAR = 8
 _LATTICE_RTOL = 1e-10
+# RK4's moments: bytes of the Chebyshev rows of each chunk of modes
+# (_mode_moments), and the rows of _toeplitz_solve's diagonal block.
+_CHUNK_BYTES = 1 << 19
+_TOEPLITZ_BLOCK = 64
 # Mode limits: ED off a lattice takes O(n_modes**2) time (about 1.5 s at
-# 16,000 modes); RK4 peaks at about 64 B per mode.
+# 16,000 modes); RK4 holds the chunk budget above plus O(n_modes) inputs.
 _ED_MAX_MODES = 20_000
 _MAX_MODES = 1_000_000
 _ED_TOO_LARGE = (f"exact diagonalization is limited to n_modes <= {_ED_MAX_MODES} "
@@ -107,8 +113,9 @@ METHOD_ED = "exact_diagonalization"
 class OracleConfig:
     """Discretization and integration parameters.
 
-    band is (omega_lo, omega_hi) in rad/s; dt = None picks the stability
-    default 0.1 / (max rotating-frame detuning).  coupling_scale = None
+    band is (omega_lo, omega_hi) in rad/s.  RK4's step is at most the
+    stability bound 0.1 / (max rotating-frame detuning): dt = None picks
+    that bound, and a larger dt is lowered to it.  coupling_scale = None
     rescales the couplings automatically into the perturbative regime;
     pass 1.0 to integrate the reservoir exactly as given.
     """
@@ -197,39 +204,123 @@ def _rk4_series(h: float, n_steps: int, center: float, radius: float) -> np.ndar
     return coef
 
 
+def _mode_moments(delta: np.ndarray, g: np.ndarray, center: float, radius: float,
+                  count: int) -> np.ndarray:
+    """m_n = sum_j gamma_j^2 U_n(d_j), n = 0 .. count - 1, by baby and giant steps.
+
+    d = (delta - center) / radius and gamma = g / radius are the modes'
+    entries and couplings in S.  With B = isqrt(count), the baby rows hold
+    2 T_i(d), i = 0 .. B, and the giant rows gamma^2 U_jB(d), advanced by
+    U_(j+1)B = 2 T_B U_jB - U_(j-1)B.  One product of the two gives
+    p[i, j] = m_(jB+i) + m_(jB-i), since 2 T_i U_n = U_(n+i) + U_(n-i), and
+    U_-1 = 0, U_-n = -U_(n-2) unfold it block by block.  Each chunk of modes
+    takes at most ``_CHUNK_BYTES`` of rows.
+    """
+    baby = math.isqrt(count)
+    giant = -(-count // baby)
+    chunk = max(1, _CHUNK_BYTES // (8 * (baby + 1 + giant)))
+    width = min(chunk, len(delta))
+    rows, steps = np.empty((baby + 1) * width), np.empty(giant * width)
+    p = np.zeros((baby + 1, giant))
+    for first in range(0, len(delta), chunk):
+        size = min(chunk, len(delta) - first)
+        # contiguous views, so that the product below runs in BLAS
+        t = rows[:(baby + 1) * size].reshape(baby + 1, size)
+        u = steps[:giant * size].reshape(giant, size)
+        t[0] = 2.0
+        np.subtract(delta[first:first + chunk], center, out=t[1])
+        t[1] *= 2.0 / radius
+        for i in range(1, baby):
+            np.multiply(t[1], t[i], out=t[i + 1])
+            t[i + 1] -= t[i - 1]
+        np.divide(g[first:first + chunk], radius, out=u[0])
+        np.square(u[0], out=u[0])
+        if giant > 1:
+            # U_B = 2 T_B + 2 T_(B-2) + ..., down to 2 T_1 or T_0
+            np.sum(t[baby:0:-2], axis=0, out=u[1])
+            if baby % 2 == 0:
+                u[1] += 1.0
+            u[1] *= u[0]
+        for j in range(1, giant - 1):
+            np.multiply(t[baby], u[j], out=u[j + 1])
+            u[j + 1] -= u[j - 1]
+        p += t @ u.T
+    m = np.empty(giant * baby)
+    m[::baby] = 0.5 * p[0]
+    # the first block reflects off n = -1: m_i = p[i, 0] + m_(i-2)
+    m[1:baby:2] = np.cumsum(p[1:baby:2, 0])
+    m[2:baby:2] = np.cumsum(p[2:baby:2, 0]) + m[0]
+    for j in range(1, giant):
+        at = j * baby
+        m[at + 1:at + baby] = p[1:baby, j] - m[at - 1:at - baby:-1]
+    return m[:count]
+
+
+def _toeplitz_solve(col: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with sum_(i<=k) col[k - i] x_i = rhs_k, for col[0] = 1.
+
+    The lower-triangular Toeplitz system is solved in blocks of
+    ``_TOEPLITZ_BLOCK`` rows.  The diagonal block, the same for every
+    block, is inverted once: its inverse is the Toeplitz matrix of the
+    power series 1 / col, cut after the block, found by Newton doubling.
+    Each block takes the earlier blocks' terms in one convolution.
+    """
+    n = len(col)
+    b = min(_TOEPLITZ_BLOCK, n)
+    inv = np.ones(1)
+    while len(inv) < b:
+        k = min(2 * len(inv), b)
+        # col inv = 1 + e with e zero below len(inv), and inv - inv e is good to k terms
+        e = np.convolve(col[:k], inv)[len(inv):k]
+        inv = np.concatenate((inv, -np.convolve(inv, e)[:k - len(inv)]))
+    x = np.empty(n)
+    for first in range(0, n, b):
+        last = min(first + b, n)
+        r = rhs[first:last]
+        if first:
+            r = r - np.convolve(col[1:last], x[:first], mode="valid")
+        size = last - first
+        block = np.convolve(inv[:size], r)[:size]
+        # one step of refinement: the inverse's terms grow as the atom's
+        # level nears the end of the interval, and so does its rounding
+        block += np.convolve(inv[:size], r - np.convolve(col[:size], block)[:size])[:size]
+        x[first:last] = block
+    return x
+
+
 def _arrowhead_moments(delta: np.ndarray, g: np.ndarray, center: float, radius: float,
                        order: int) -> np.ndarray:
     """nu_k = [T_k(S) e_0]_0 - T_k(s), k = 0..order, with S = (H - center) / radius.
 
     H = [[0, g^T], [g, diag(delta)]] and s = -center / radius is S's atom
     entry, so nu_k is what the couplings add to the bare atom's moment: it
-    vanishes with them and is rounded on its own scale.  The real vectors
-    v_k = T_k(S) e_0 = T_k(s) e_0 + w_k give
-    w_(k+1) = 2 S w_k - w_(k-1) + 2 T_k(s) (0, g / radius), and as in the
-    kernel polynomial method each w_k yields two moments, through
-    T_2k = 2 T_k^2 - 1 and T_(2k+1) = 2 T_(k+1) T_k - T_1, so order / 2
-    products with S suffice.
+    vanishes with them and is rounded on its own scale.  The modes, with
+    entries d = (delta - center) / radius and couplings gamma = g / radius,
+    are eliminated exactly (a Schur complement), which leaves a scalar
+    recurrence: nu_0 = nu_1 = 0 and, with c_0 = 1 and c_i = 2 (nu_i + T_i(s)),
+    nu_(k+1) = 2 s nu_k - nu_(k-1) + 2 sum_(i<k) m_(k-1-i) c_i,
+    where m_n = sum_j gamma_j^2 U_n(d_j) are the modes' own moments
+    (``_mode_moments``).  That is a unit lower-triangular Toeplitz system
+    for nu_2 .. nu_order, with first column 1, -2 s, 1 - 4 m_0, -4 m_1, ...
+    and right side 2 m_(k-1) + 4 sum_(i>=1) m_(k-1-i) T_i(s).
     """
-    scale = 2.0 / radius
-    d2, g2, a2 = (delta - center) * scale, g * scale, -center * scale
-    half = order // 2 + 1
-    nu = np.zeros(2 * half)
-    # T_(k-1)(s), T_k(s) and the atom and modes of w_(k-1), w_k and w_(k+1)
-    t_prev, t = 1.0, 0.5 * a2
-    prev_a, cur_a = 0.0, 0.0
-    prev, cur, tmp = np.zeros(len(delta)), 0.5 * g2, np.empty(len(delta))
-    for k in range(1, half):
-        np.multiply(d2, cur, out=tmp)
-        tmp -= prev
-        np.multiply(g2, cur_a + t, out=prev)
-        tmp += prev
-        next_a = a2 * cur_a + g2 @ cur - prev_a
-        t_next = a2 * t - t_prev
-        nu[2 * k] = 4.0 * t * cur_a + 2.0 * (cur_a * cur_a + cur @ cur)
-        nu[2 * k + 1] = 2.0 * (t_next * cur_a + t * next_a + next_a * cur_a + tmp @ cur)
-        t_prev, t, prev_a, cur_a = t, t_next, cur_a, next_a
-        prev, cur, tmp = cur, tmp, prev
-    return nu[:order + 1]
+    nu = np.zeros(order + 1)
+    n = order - 1
+    if n < 1:
+        return nu
+    s = -center / radius
+    m = _mode_moments(delta, g, center, radius, n)
+    # 1 and 2 T_i(s), i = 1 .. n - 1
+    cheb = [2.0, 2.0 * s]
+    for _ in range(2, n):
+        cheb.append(2.0 * s * cheb[-1] - cheb[-2])
+    cheb[0] = 1.0
+    col = np.zeros(max(n, 3))
+    col[:3] = 1.0, -2.0 * s, 1.0
+    col[2:] -= 4.0 * m[:len(col) - 2]
+    rhs = 2.0 * np.convolve(m, cheb[:n])[:n]
+    nu[2:] = _toeplitz_solve(col[:n], rhs)
+    return nu
 
 
 def _survival_rk4(modes: DiscretizedModes, omega0: float, tau: float,
@@ -245,7 +336,9 @@ def _survival_rk4(modes: DiscretizedModes, omega0: float, tau: float,
     # independent of the secular solver.  H's spectrum lies within the
     # coupling norm of [min(0, delta), max(0, delta)]; mapped onto [-1, 1],
     # a_n = sum_k c_k mu_k with the coefficients c_k of _rk4_series and the
-    # moments mu_k = T_k(s) + nu_k of _arrowhead_moments.  The bare atom's
+    # moments mu_k = T_k(s) + nu_k of _arrowhead_moments, which steps no
+    # mode vector: it eliminates the modes and solves for the atom's
+    # moments from the modes' own, in O(n_modes K + K^2).  The bare atom's
     # part sum_k c_k T_k(s) is p(0)^n = 1, so a_n = 1 + sum_k c_k nu_k, whose
     # loss stays resolved however weak the coupling.  norm_drift is
     # 1 - |y_n|^2, the same moments summed against the norm lost, which is 0

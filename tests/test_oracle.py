@@ -14,6 +14,7 @@ from zenoscope import oracle
 from zenoscope.errors import DomainError, NumericalError
 from zenoscope.oracle import (
     _arrowhead_eigensystem,
+    _arrowhead_moments,
     _auto_coupling_scale,
     _rk4_series,
     _secular_roots,
@@ -341,7 +342,7 @@ def test_rk4_reproduces_the_exact_discrete_solution(eta, nu, n_modes):
     modes, tau = _desk_modes(eta, nu, n_modes)
     got = -math.log(survival_probability(modes, 1.0, tau, OracleConfig(
         n_modes=n_modes, method="rk4")).probability)
-    assert got == pytest.approx(_exact_discrete_survival(modes, tau), rel=1e-10, abs=0)
+    assert got == pytest.approx(_exact_discrete_survival(modes, tau), rel=1e-11, abs=0)
 
 
 def test_rk4_converges_onto_exact_diagonalization_as_the_step_shrinks():
@@ -357,16 +358,139 @@ def test_rk4_converges_onto_exact_diagonalization_as_the_step_shrinks():
     assert gaps[2] <= 1e-13
 
 
-def test_rk4_memory_stays_linear():
-    # the moments hold five mode vectors; the series is O(tau * band) long
-    modes, tau = _desk_modes(3, 1e-2, 10_000)
+def _wide_band_modes(n_modes):
+    """Weakly coupled modes over (0, 57) at omega0 = 1 and tau = 100, where
+    RK4's series runs to K = 3033."""
+    modes = discretize_reservoir(_desk_reservoir(3), OracleConfig(n_modes=n_modes,
+                                                                  band=(0.0, 57.0)))
+    return DiscretizedModes(omega=modes.omega, g=1e-3 * modes.g), 100.0
+
+
+def _rk4_peak_bytes(modes, tau):
     tracemalloc.start()
     try:
         _survival_rk4(modes, 1.0, tau, None)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 100 * 10_000
+
+
+def test_rk4_memory_stays_linear():
+    # each chunk of modes holds its Chebyshev rows within the chunk budget
+    # (0.5 MB), beside O(n_modes) inputs; the series is O(tau * band) long
+    modes, tau = _desk_modes(3, 1e-2, 10_000)
+    assert _rk4_peak_bytes(modes, tau) < 100 * 10_000
+
+
+def test_rk4_memory_stays_linear_on_a_long_series():
+    # K = 3033: the giant-step rows grow with K, and the chunks shrink to
+    # keep them in the budget; the rows of all the modes at once would
+    # take 18 MB
+    modes, tau = _wide_band_modes(20_000)
+    assert _series_order(modes, tau) > 3000
+    assert _rk4_peak_bytes(modes, tau) < 100 * 20_000
+
+
+def test_an_explicit_dt_above_the_stability_bound_is_capped():
+    modes, tau = _desk_modes(3, 3e-2, 2000)
+    bound = 0.1 / np.max(np.abs(modes.omega - 1.0))
+    cfg = OracleConfig(n_modes=2000, method="rk4")
+    want = survival_probability(modes, 1.0, tau, cfg)
+    assert survival_probability(modes, 1.0, tau, replace(cfg, dt=10.0 * bound)) == want
+
+
+# ---------------------------------------------------------------------------
+# RK4's moments against the vector recurrence
+# ---------------------------------------------------------------------------
+
+def _kpm_moments(delta, g, center, radius, order):
+    """Reference: nu_k of ``_arrowhead_moments`` by stepping a mode vector.
+
+    The real vectors v_k = T_k(S) e_0 = T_k(s) e_0 + w_k give
+    w_(k+1) = 2 S w_k - w_(k-1) + 2 T_k(s) (0, g / radius), and as in the
+    kernel polynomial method each w_k yields two moments, through
+    T_2k = 2 T_k^2 - 1 and T_(2k+1) = 2 T_(k+1) T_k - T_1, so order / 2
+    products with S suffice.
+    """
+    scale = 2.0 / radius
+    d2, g2, a2 = (delta - center) * scale, g * scale, -center * scale
+    half = order // 2 + 1
+    nu = np.zeros(2 * half)
+    # T_(k-1)(s), T_k(s) and the atom and modes of w_(k-1), w_k and w_(k+1)
+    t_prev, t = 1.0, 0.5 * a2
+    prev_a, cur_a = 0.0, 0.0
+    prev, cur, tmp = np.zeros(len(delta)), 0.5 * g2, np.empty(len(delta))
+    for k in range(1, half):
+        np.multiply(d2, cur, out=tmp)
+        tmp -= prev
+        np.multiply(g2, cur_a + t, out=prev)
+        tmp += prev
+        next_a = a2 * cur_a + g2 @ cur - prev_a
+        t_next = a2 * t - t_prev
+        nu[2 * k] = 4.0 * t * cur_a + 2.0 * (cur_a * cur_a + cur @ cur)
+        nu[2 * k + 1] = 2.0 * (t_next * cur_a + t * next_a + next_a * cur_a + tmp @ cur)
+        t_prev, t, prev_a, cur_a = t, t_next, cur_a, next_a
+        prev, cur, tmp = cur, tmp, prev
+    return nu[:order + 1]
+
+
+def _rk4_interval(delta, g):
+    """center and radius of H's spectrum by _survival_rk4's rule."""
+    norm = float(np.linalg.norm(g))
+    lo = min(0.0, float(delta.min())) - norm
+    hi = max(0.0, float(delta.max())) + norm
+    return 0.5 * (lo + hi), max(0.5 * (hi - lo), 1e-300)
+
+
+def _series_order(modes, tau):
+    """K, the order of RK4's Chebyshev series at omega0 = 1."""
+    delta = modes.omega - 1.0
+    n_steps, h = _rk4_steps(delta, tau)
+    return _rk4_series(h, n_steps, *_rk4_interval(delta, modes.g)).shape[1] - 1
+
+
+def _assert_moments_match(delta, g, order):
+    center, radius = _rk4_interval(delta, g)
+    want = _kpm_moments(delta, g, center, radius, order)
+    got = _arrowhead_moments(delta, g, center, radius, order)
+    assert got.shape == (order + 1,)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want), initial=0.0)
+
+
+@pytest.mark.parametrize("eta, nu", [(1, 1e-2), (1, 3e-2), (3, 1e-2), (3, 3e-2)])
+def test_arrowhead_moments_match_the_vector_recurrence_at_the_benchmark_points(eta, nu):
+    modes, tau = _desk_modes(eta, nu, 10_000)
+    order = _series_order(modes, tau)
+    assert 600 < order < 700
+    _assert_moments_match(modes.omega - 1.0, modes.g, order)
+
+
+@pytest.mark.parametrize("order", [438, 800])
+def test_arrowhead_moments_match_the_vector_recurrence_with_the_atom_below_the_band(order):
+    # every pole above the atom's level puts s near -1, where the terms of
+    # the Toeplitz block's inverse grow: without its refinement step the
+    # block solve is 1.3e-12 and 3.6e-12 off, with it 2.7e-14 and 3.3e-14
+    delta = np.array([1.07, 1.78, 1.33, 0.99, 2.03])
+    g = np.array([-1.5e-2, 0.0, -1.8e-3, 0.0, 2.2e-2])
+    _assert_moments_match(delta, g, order)
+
+
+@st.composite
+def _rk4_arrowheads(draw):
+    """(delta, g, order): 2-400 unsorted poles on [0, 3] about an atom in
+    [0.5, 2.5], so at times outside the band, signed couplings of which
+    about a third are 0, and orders 0-800, past n_modes too."""
+    n = draw(st.integers(2, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    omega0 = draw(st.floats(0.5, 2.5))
+    g = rng.uniform(-3e-2, 3e-2, n) * (rng.uniform(size=n) > 1.0 / 3.0)
+    return rng.uniform(0.0, 3.0, n) - omega0, g, draw(st.integers(0, 800))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rk4_arrowheads())
+def test_arrowhead_moments_match_the_vector_recurrence(arrowhead):
+    _assert_moments_match(*arrowhead)
 
 
 # ---------------------------------------------------------------------------
