@@ -148,11 +148,8 @@ def _sweep_csv_row(reservoir, omega0: float, nu: float, want_quad: bool,
 
 
 def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call outside Linux
-        return os.cpu_count() or 1
+    """CPUs this process may run on (Linux only, as is the one caller)."""
+    return len(os.sched_getaffinity(0))
 
 
 def _worker(row: Callable, share: list, write_fd: int) -> NoReturn:
@@ -379,7 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=float, required=True, help="units of omega0")
     p.add_argument("--n-modes", type=int, default=10_000)
     p.add_argument("--method", choices=("rk4", "exact_diagonalization"),
-                   default="rk4")
+                   default="rk4",
+                   help="rk4: the exact propagator summed as a Chebyshev series "
+                        "(the name of the fixed-step integrator it replaced)")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("ca", help="Ca+ quadrupole feasibility numbers (SI units)")

@@ -8,8 +8,9 @@ measurement interval.  Projective measurements are modeled as exact
 coherence erasures between intervals, so P_n = P(tau)^n and a single
 interval determines the rate: Gamma = -ln P(tau) / tau.
 
-Two integration routes guard against integrator bias: fixed-step RK4
-(default) and exact diagonalization of the arrowhead Hamiltonian, which
+Two integration routes guard against integrator bias: the exact propagator
+e^(-iH tau) summed as a Chebyshev series (method ``rk4``, the default) and
+exact diagonalization of the arrowhead Hamiltonian, which
 solves its secular equation in O(n_modes) memory, with no dense matrix.
 One pass forms, for every pole, the moments of the other poles'
 couplings: on the uniform mode grid as one FFT convolution, in
@@ -18,13 +19,14 @@ O(n_modes^2).  Each weakly coupled root, one that hugs its pole, is
 solved from that pole's series and kept only where a remainder bound
 certifies it, and the few others (next to the atom's level) by direct
 sums over the poles, in blocks of 1 MB of work arrays.  Everything runs
-on the calling thread.  RK4 sums its exact discrete solution
-p(-ihH)^n e_0 as a Chebyshev series in H, with no eigenvalues, so that it
-stays independent of the secular solver; the series is good to 1e-13 with
-the 80-bit long double of x86-64 Linux.  Its moments eliminate the modes
-exactly: the modes' own Chebyshev moments, by baby and giant steps and
-one matrix product per chunk of modes, then a scalar Toeplitz solve for
-the atom's (about 3-5 ms at 10^4 modes and 10^4 steps on a 2-core Xeon).
+on the calling thread.  The series route sums e^(-iH tau) e_0 in H
+(Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)), with no
+eigenvalues, so that it stays independent of the secular solver.  Its
+moments eliminate the modes exactly: the modes' own Chebyshev moments,
+by baby and giant steps and one matrix product per chunk of modes, then
+a scalar Toeplitz solve for the atom's (about 2 ms at 2000 modes and
+3-5 ms at 10^4 on a 2-core Xeon).  The method keeps the name ``rk4`` of
+the fixed-step integrator it replaced.
 
 Because the modified/free rate ratio is coupling-independent in the
 perturbative regime that the rate formula describes, the rate extraction
@@ -94,12 +96,13 @@ _SERIES_RHO = 1e-2
 _LATTICE_TOL = 32.0
 _LATTICE_NEAR = 8
 _LATTICE_RTOL = 1e-10
-# RK4's moments: bytes of the Chebyshev rows of each chunk of modes
-# (_mode_moments), and the rows of _toeplitz_solve's diagonal block.
+# The series route's moments: bytes of the Chebyshev rows of each chunk of
+# modes (_mode_moments), and the rows of _toeplitz_solve's diagonal block.
 _CHUNK_BYTES = 1 << 19
 _TOEPLITZ_BLOCK = 64
 # Mode limits: ED off a lattice takes O(n_modes**2) time (about 1.5 s at
-# 16,000 modes); RK4 holds the chunk budget above plus O(n_modes) inputs.
+# 16,000 modes); the series route holds the chunk budget above plus
+# O(n_modes) inputs.
 _ED_MAX_MODES = 20_000
 _MAX_MODES = 1_000_000
 _ED_TOO_LARGE = (f"exact diagonalization is limited to n_modes <= {_ED_MAX_MODES} "
@@ -113,18 +116,24 @@ METHOD_ED = "exact_diagonalization"
 class OracleConfig:
     """Discretization and integration parameters.
 
-    band is (omega_lo, omega_hi) in rad/s.  RK4's step is at most the
-    stability bound 0.1 / (max rotating-frame detuning): dt = None picks
-    that bound, and a larger dt is lowered to it.  coupling_scale = None
+    band is (omega_lo, omega_hi) in rad/s.  method ``rk4`` sums the exact
+    propagator as a Chebyshev series and takes no time step; the name is
+    kept from the fixed-step integrator it replaced.  coupling_scale = None
     rescales the couplings automatically into the perturbative regime;
     pass 1.0 to integrate the reservoir exactly as given.
     """
 
     n_modes: int = 10_000
     band: tuple[float, float] | None = None
-    dt: float | None = None
     method: str = METHOD_RK4
     coupling_scale: float | None = None
+
+    @property
+    def dt(self) -> None:
+        # Not a field: there is no time step.  benchmarks/spans.py still
+        # reads cfg.dt to size its traced oracle.rk4 spans by the old step
+        # rule, so this stays until that file changes.
+        return None
 
     def __post_init__(self):
         # the range first: int() of an infinite or NaN count would raise
@@ -138,10 +147,9 @@ class OracleConfig:
             lo, hi = self.band
             if not 0.0 <= lo < hi < math.inf:
                 raise DomainError("band must satisfy 0 <= omega_lo < omega_hi < inf")
-        for name in ("dt", "coupling_scale"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 < value < math.inf:
-                raise DomainError(f"{name} must be finite and positive, got {value!r}")
+        scale = self.coupling_scale
+        if scale is not None and not 0.0 < scale < math.inf:
+            raise DomainError(f"coupling_scale must be finite and positive, got {scale!r}")
 
 
 class DiscretizedModes(NamedTuple):
@@ -156,6 +164,9 @@ class DiscretizedModes(NamedTuple):
 
 
 class SurvivalResult(NamedTuple):
+    """P(tau) and a bound on its integration error: ED's departure of the
+    weights' sum from 1, or the series' truncated tail."""
+
     probability: float
     norm_drift: float
 
@@ -178,29 +189,20 @@ def discretize_reservoir(reservoir, cfg: OracleConfig) -> DiscretizedModes:
     return DiscretizedModes(omega=omega, g=np.sqrt(vals * d_omega))
 
 
-def _rk4_series(h: float, n_steps: int, center: float, radius: float) -> np.ndarray:
-    """Chebyshev coefficients in x = (lam - center) / radius of RK4's n steps.
+def _propagator_series(tau: float, center: float, radius: float) -> np.ndarray:
+    """Chebyshev coefficients in x = (lam - center) / radius of exp(-i lam tau).
 
-    Row 0 is the amplitude p(-ih lam)^n, with RK4's step polynomial
-    p(z) = sum_{j<=4} z^j / j!, and row 1 the norm lost, 1 - |p(-ih lam)|^(2n).
-    Like those of exp(-i z x), the coefficients fall off past
-    k = z = radius * n * h; the series stops at K = z + 10 z^(1/3) + 40.
-    |p(iy)|^2 = 1 - y^6/72 + y^8/576 exactly, so its logarithm and p's phase
-    are taken apart, in long double: the n-th power multiplies the phase's
-    rounding by n, which in double leaves the series 5e-13 off at 10^4 steps.
+    They are e^(-i center tau) (2 - [k = 0]) (-i)^k J_k(z), z = radius * tau,
+    which fall off past k = z; the series stops at K = z + 10 z^(1/3) + 40.
+    The samples' phases round at about eps * z, and so do the coefficients.
     """
-    z = radius * n_steps * h
+    z = radius * tau
     order = math.ceil(z + 10.0 * z ** (1.0 / 3.0) + 40.0)
-    j = np.arange(order + 1, dtype=np.longdouble)
-    y = h * (center + radius * np.cos(np.arccos(np.longdouble(-1.0)) * j / order))
-    y2 = y * y
-    log_modulus = n_steps * 0.5 * np.log1p(y2 ** 3 * (y2 / 576.0 - 1.0 / 72.0))
-    phase = n_steps * np.arctan2(y * (y2 / 6.0 - 1.0), 1.0 - y2 / 2.0 + y2 * y2 / 24.0)
-    samples = np.stack((np.exp(log_modulus + 1j * phase), -np.expm1(2.0 * log_modulus)))
+    x = np.cos(math.pi * np.arange(order + 1) / order)
+    samples = np.exp(-1j * tau * (center + radius * x))
     # samples at x_j = cos(pi j / K) to coefficients: a DCT-I, by FFT of the even extension
-    even = np.concatenate((samples, samples[:, order - 1:0:-1]), axis=1).astype(np.complex128)
-    coef = np.fft.fft(even)[:, :order + 1] / order
-    coef[:, [0, order]] /= 2.0
+    coef = np.fft.fft(np.concatenate((samples, samples[order - 1:0:-1])))[:order + 1] / order
+    coef[[0, order]] /= 2.0
     return coef
 
 
@@ -323,36 +325,27 @@ def _arrowhead_moments(delta: np.ndarray, g: np.ndarray, center: float, radius: 
     return nu
 
 
-def _survival_rk4(modes: DiscretizedModes, omega0: float, tau: float,
-                  dt: float | None) -> SurvivalResult:
+def _survival_series(modes: DiscretizedModes, omega0: float, tau: float) -> SurvivalResult:
     delta = modes.omega - omega0
-    w = max(float(np.max(np.abs(delta))), 1e-300)
-    step = 0.1 / w if dt is None else min(dt, 0.1 / w)
-    n_steps = max(int(math.ceil(tau / step)), 4)
-    h = tau / n_steps
-
-    # RK4's n steps are y_n = p(-ihH)^n e_0, a polynomial in H, summed
-    # here without stepping and without eigenvalues, so that RK4 stays
-    # independent of the secular solver.  H's spectrum lies within the
-    # coupling norm of [min(0, delta), max(0, delta)]; mapped onto [-1, 1],
-    # a_n = sum_k c_k mu_k with the coefficients c_k of _rk4_series and the
-    # moments mu_k = T_k(s) + nu_k of _arrowhead_moments, which steps no
+    # e^(-iH tau) e_0, summed as a Chebyshev series in H without
+    # eigenvalues, so that this route stays independent of the secular
+    # solver.  H's spectrum lies within the coupling norm of
+    # [min(0, delta), max(0, delta)]; mapped onto [-1, 1],
+    # a = sum_k c_k mu_k with the coefficients c_k of _propagator_series and
+    # the moments mu_k = T_k(s) + nu_k of _arrowhead_moments, which steps no
     # mode vector: it eliminates the modes and solves for the atom's
     # moments from the modes' own, in O(n_modes K + K^2).  The bare atom's
-    # part sum_k c_k T_k(s) is p(0)^n = 1, so a_n = 1 + sum_k c_k nu_k, whose
-    # loss stays resolved however weak the coupling.  norm_drift is
-    # 1 - |y_n|^2, the same moments summed against the norm lost, which is 0
-    # at the atom: as |p(iy)| <= 1 for y^2 <= 8, the norm never rises, so
-    # its last loss is the largest of every step.
+    # part sum_k c_k T_k(s) is e^0 = 1, so a = 1 + sum_k c_k nu_k, whose
+    # loss stays resolved however weak the coupling.  As |mu_k| <= 1, the
+    # last few |c_k| bound the terms cut off, and are norm_drift.
     norm = float(np.linalg.norm(modes.g))
     lo = min(0.0, float(delta.min())) - norm
     hi = max(0.0, float(delta.max())) + norm
     center, radius = 0.5 * (lo + hi), max(0.5 * (hi - lo), 1e-300)
-    series = _rk4_series(h, n_steps, center, radius)
-    amp, loss = series @ _arrowhead_moments(delta, modes.g, center, radius,
-                                            series.shape[1] - 1)
+    series = _propagator_series(tau, center, radius)
+    amp = series @ _arrowhead_moments(delta, modes.g, center, radius, len(series) - 1)
     return SurvivalResult(probability=float(abs(1.0 + amp) ** 2),
-                          norm_drift=abs(float(loss.real)))
+                          norm_drift=float(np.abs(series[-4:]).sum()))
 
 
 def _secular_sums(anchor: np.ndarray, mu: np.ndarray, poles: np.ndarray,
@@ -714,7 +707,7 @@ def survival_probability(modes: DiscretizedModes, omega0: float, tau: float,
             f"{recurrence:g} must exceed 10*tau; increase n_modes or shrink the band")
     if cfg.method == METHOD_ED:
         return _survival_ed(modes, omega0, tau)
-    return _survival_rk4(modes, omega0, tau, cfg.dt)
+    return _survival_series(modes, omega0, tau)
 
 
 def _auto_coupling_scale(modes: DiscretizedModes, omega0: float, tau: float,

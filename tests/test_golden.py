@@ -6,11 +6,14 @@ keep 9 significant digits; ``quadrature.json`` keeps every bit of
 ``ratio`` and ``err_estimate``.  Any change to either is a regression.
 
 ``oracle_ed.json`` was written by the dense-``eigh`` exact diagonalization
-that preceded the secular-equation solver, and ``oracle_rk4.json`` by the
-stage-by-stage RK4 loop that preceded the rank-4 step, both at the
-desk-scale points of the oracle benchmark.  Their quadrature fields must
-match bit for bit; the oracle ratio, now computed by a different
-algorithm, to 1e-10.
+that preceded the secular-equation solver, at the desk-scale points of the
+oracle benchmark.  ``oracle_rk4.json`` was re-recorded at the same points
+(``python tests/test_golden.py oracle_rk4``) when the ``rk4`` route came to
+sum the exact propagator in place of RK4's n-step polynomial; its ratios
+moved by -7e-10 to -2.0e-7, RK4's own time-step error, and each now lies
+within 1e-11 of exact diagonalization at the same 10^4 modes.  The
+quadrature fields of both files must match bit for bit; the oracle ratio,
+to 1e-10.
 
 The quadrature of a band-limited reservoir now ends the far-field walk on
 the last lobe multiple below the band edge and integrates the partial lobe
@@ -18,7 +21,8 @@ beyond it with the full sinc^2 kernel, instead of leaving that lobe's
 oscillating part to the error estimate.  So the ``band-limited`` case of
 ``quadrature.json`` and, in both oracle files, ``ratio_quadrature`` and
 ``rel_difference`` were re-recorded from that quadrature; every other
-field, the oracle ratios included, is as first recorded.
+field, the oracle ratios of ``oracle_ed.json`` included, is as first
+recorded.
 
 ``cli-json.txt`` was recorded before ``dumps_json`` became a flat writer
 over ``json.dumps``: ``python tests/test_golden.py cli-json``.
@@ -33,7 +37,7 @@ quadrature: ``quadrature.json``, ``quadrature-grid.json``, ``cli-json.txt``
 (``python tests/test_golden.py {quadrature,quadrature-grid,cli-json}``),
 the three CSV files (the commands of ``CLI_CASES``), and ``ratio_quadrature``
 and ``rel_difference`` of oracle points 0 and 2, where the sum moved by an
-ulp; the oracle ratios are still as first recorded.  A ratio moved by at
+ulp; the oracle ratios were not re-recorded then.  A ratio moved by at
 most 5e-10 of itself, into the share of the rate that the stop had dropped
 and charged twice to ``err_estimate``; no ``converged`` flag changed.  The
 ``sinking`` case now returns a ratio at nu = 1e-8 to 1e-3: there the stop

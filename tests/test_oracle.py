@@ -16,9 +16,9 @@ from zenoscope.oracle import (
     _arrowhead_eigensystem,
     _arrowhead_moments,
     _auto_coupling_scale,
-    _rk4_series,
+    _propagator_series,
     _secular_roots,
-    _survival_rk4,
+    _survival_series,
     BandLimitedReservoir,
     DiscretizedModes,
     OracleConfig,
@@ -56,8 +56,8 @@ def test_oracle_config_validation():
         OracleConfig(method="euler")
     with pytest.raises(DomainError):
         OracleConfig(band=(2.0, 1.0))
-    with pytest.raises(DomainError):
-        OracleConfig(dt=-0.1)
+    # the series takes no time step; dt is a read-only property
+    assert OracleConfig().dt is None
     with pytest.raises(DomainError):
         OracleConfig(coupling_scale=0.0)
     with pytest.raises(DomainError, match="whole number"):
@@ -74,8 +74,9 @@ def test_oracle_config_validation():
 @pytest.mark.parametrize("field", ["dt", "coupling_scale"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_oracle_config_rejects_non_finite_steps_and_scales(field, value):
-    # rejected when the config is built, before RK4 or the coupling fit runs
-    with pytest.raises(DomainError, match=field):
+    # rejected when the config is built, before the series or the coupling
+    # fit runs; dt, with no step to set, is not a field at all
+    with pytest.raises(TypeError if field == "dt" else DomainError, match=field):
         OracleConfig(**{field: value})
 
 
@@ -115,7 +116,7 @@ def test_discretize_requires_band():
 @pytest.mark.parametrize("method", ["rk4", "exact_diagonalization"])
 def test_discretize_rejects_non_finite_reservoir(method, bad):
     # NaN couplings would otherwise read as uncoupled modes in ED, giving a
-    # plausible wrong ratio, and as a failure only after every RK4 step
+    # plausible wrong ratio, and as a failure only once the series is summed
     r = _desk_reservoir(3)
 
     def spoiled(w):
@@ -219,107 +220,51 @@ def test_survival_does_not_depend_on_mode_order(method):
 
 
 # ---------------------------------------------------------------------------
-# RK4 against the exact discrete solution and the stage-by-stage loop
+# the series route against dense eigh and exact diagonalization
 # ---------------------------------------------------------------------------
-
-def _rk4_steps(delta, tau, dt=None):
-    """The oracle's step rule: n_steps and h."""
-    w = max(float(np.max(np.abs(delta))), 1e-300)
-    step = 0.1 / w if dt is None else min(dt, 0.1 / w)
-    n_steps = max(int(math.ceil(tau / step)), 4)
-    return n_steps, tau / n_steps
-
-
-def _stagewise_rk4(modes, omega0, tau, dt):
-    """Reference: the classical four-stage RK4 loop on the full state."""
-    delta = modes.omega - omega0
-    n_steps, h = _rk4_steps(delta, tau, dt)
-    y = np.zeros(len(delta) + 1, dtype=np.complex128)
-    y[0] = 1.0
-    mig, mid = -1j * modes.g, -1j * delta
-
-    def deriv(v):
-        return np.concatenate(([mig @ v[1:]], mid * v[1:] + mig * v[0]))
-
-    drift = 0.0
-    for i in range(n_steps):
-        k1 = deriv(y)
-        k2 = deriv(y + 0.5 * h * k1)
-        k3 = deriv(y + 0.5 * h * k2)
-        k4 = deriv(y + h * k3)
-        y = y + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
-        if i % max(1, n_steps // 32) == 0:
-            drift = max(drift, abs(float(np.vdot(y, y).real) - 1.0))
-    drift = max(drift, abs(float(np.vdot(y, y).real) - 1.0))
-    return float(abs(y[0]) ** 2), drift
-
 
 @pytest.mark.parametrize("timing", ["stability", "explicit-dt", "four-step-floor",
                                     "remainder-0", "remainder-1", "remainder-2",
                                     "remainder-3"])
 @pytest.mark.parametrize("seed", range(4))
 def test_rk4_matches_stagewise_loop(seed, timing):
-    # unsorted poles, signed couplings and about a third of them zero
+    # unsorted poles, signed couplings and about a third of them zero,
+    # against dense eigh.  The ids name the intervals at which a
+    # stage-by-stage RK4 loop once checked this route, in units of its step
+    # bound 0.1 / max|delta|: hundreds of steps, half a step, and 16 to 19
+    # steps of 0.3 of the bound.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 301))
     omega = rng.uniform(0.0, 3.0, n)
     g = rng.uniform(-3e-2, 3e-2, n) * (rng.uniform(size=n) > 0.3)
     modes, omega0 = DiscretizedModes(omega=omega, g=g), float(rng.uniform(0.5, 2.5))
-    stability = 0.1 / np.max(np.abs(omega - omega0))
-    # remainder-r: 16 + r steps of dt, r of them past a multiple of four
-    tau, dt = {"stability": (30.0, None),
-               "explicit-dt": (10.0, 0.3 * stability),
-               "four-step-floor": (0.5 * stability, None),
-               **{f"remainder-{r}": ((15.5 + r) * 0.3 * stability, 0.3 * stability)
-                  for r in range(4)}}[timing]
-    n_steps = _rk4_steps(omega - omega0, tau, dt)[0]
-    if timing == "four-step-floor":
-        assert n_steps == 4
-    if timing.startswith("remainder"):
-        assert n_steps == 16 + int(timing[-1])
-    p_ref, drift_ref = _stagewise_rk4(modes, omega0, tau, dt)
-    res = _survival_rk4(modes, omega0, tau, dt)
-    assert res.probability == pytest.approx(p_ref, rel=0, abs=1e-12)
-    assert res.norm_drift == pytest.approx(drift_ref, rel=1e-6, abs=1e-14)
-
-
-def _rk4_power(y, n_steps):
-    """Reference: RK4's n-step amplitude p(-iy)^n, powered in long double."""
-    z = -1j * np.asarray(y, dtype=np.longdouble)
-    return (1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))) ** n_steps
+    bound = 0.1 / np.max(np.abs(omega - omega0))
+    tau = {"stability": 30.0,
+           "explicit-dt": 10.0,
+           "four-step-floor": 0.5 * bound,
+           **{f"remainder-{r}": (15.5 + r) * 0.3 * bound for r in range(4)}}[timing]
+    vals, weights = _dense_eigensystem(modes, omega0)
+    want = abs(np.sum(weights * np.exp(-1j * vals * tau))) ** 2
+    res = _survival_series(modes, omega0, tau)
+    assert res.probability == pytest.approx(want, rel=0, abs=1e-12)
+    assert res.norm_drift <= 1e-13
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_rk4_series_matches_the_propagator(seed):
-    # on an interval holding 0, out to the stability default |h lam| <= 0.1
-    # and a little past it, as the coupling norm widens the interval
+    # on an interval holding 0, from z = radius * tau far below 1 to past
+    # the oracle's longest series.  The samples' phases, and those of the
+    # reference, round at about eps * z.
     rng = np.random.default_rng(seed)
     lo, hi = -rng.uniform(0.1, 3.0), rng.uniform(0.1, 30.0)
-    h = rng.uniform(0.05, 0.12) / max(-lo, hi)
-    n_steps = int(rng.integers(4, 20_000))
     center, radius = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    amp, loss = _rk4_series(h, n_steps, center, radius)
-    x = rng.uniform(-1.0, 1.0, 200)
-    want = _rk4_power(h * (center + radius * x.astype(np.longdouble)), n_steps)
-    got = np.polynomial.chebyshev.chebval(x, amp)
-    assert np.max(np.abs(got - want.astype(np.complex128))) <= 1e-13
-    got_norm = 1.0 - np.polynomial.chebyshev.chebval(x, loss.real)
-    assert np.max(np.abs(got_norm - (np.abs(want) ** 2).astype(float))) <= 1e-13
-
-
-def _exact_discrete_survival(modes, tau):
-    """-ln P of the exact RK4 solution, summed over the eigenpairs of H."""
-    # The RK4 propagator of y' = -iHy is R(-ihH) with R(z) = sum_{j<=4} z^j/j!,
-    # so a_n = sum_j w_j R(-ih lam_j)^n over H's eigenpairs.  |R(iy)|^2 is
-    # 1 - y^6/72 + y^8/576 exactly; its logarithm and R's phase are taken
-    # apart so that the n-th power keeps every digit.
-    n_steps, h = _rk4_steps(modes.omega - 1.0, tau)
-    lam, weights = _arrowhead_eigensystem(modes, 1.0)
-    y = h * lam
-    log_modulus = 0.5 * np.log1p(y ** 4 * (y ** 4 / 576.0 - y ** 2 / 72.0))
-    phase = np.arctan2(-(y - y ** 3 / 6.0), 1.0 - y ** 2 / 2.0 + y ** 4 / 24.0)
-    amp = np.sum(weights * np.exp(n_steps * (log_modulus + 1j * phase)))
-    return -math.log(abs(amp) ** 2)
+    for z in (1e-3, 0.7, 30.0, 600.0, 4000.0):
+        tau = z / radius
+        coef = _propagator_series(tau, center, radius)
+        x = rng.uniform(-1.0, 1.0, 200)
+        want = np.exp(-1j * tau * (center + radius * x))
+        got = np.polynomial.chebyshev.chebval(x, coef)
+        assert np.max(np.abs(got - want)) <= 1e-13 + 8.0 * np.finfo(float).eps * z
 
 
 def _desk_modes(eta, nu, n_modes):
@@ -335,32 +280,26 @@ def _desk_modes(eta, nu, n_modes):
     pytest.param(1, 3e-2, 2000, id="1-0.03"),
     pytest.param(3, 1e-2, 2000, id="3-0.01"),
     pytest.param(3, 3e-2, 2000, id="3-0.03"),
+    pytest.param(1, 1e-2, 10_000, id="1-0.01-10000"),
+    pytest.param(1, 3e-2, 10_000, id="1-0.03-10000"),
+    pytest.param(3, 1e-2, 10_000, id="3-0.01-10000"),
     # the golden point with the smallest loss, where rounding weighs most in -ln P
     pytest.param(3, 3e-2, 10_000, id="3-0.03-10000"),
 ])
 def test_rk4_reproduces_the_exact_discrete_solution(eta, nu, n_modes):
+    # the oracle benchmark's points, against exact diagonalization
     modes, tau = _desk_modes(eta, nu, n_modes)
-    got = -math.log(survival_probability(modes, 1.0, tau, OracleConfig(
-        n_modes=n_modes, method="rk4")).probability)
-    assert got == pytest.approx(_exact_discrete_survival(modes, tau), rel=1e-11, abs=0)
 
+    def loss(method):
+        cfg = OracleConfig(n_modes=n_modes, method=method)
+        return -math.log(survival_probability(modes, 1.0, tau, cfg).probability)
 
-def test_rk4_converges_onto_exact_diagonalization_as_the_step_shrinks():
-    # the global error falls as h^4 until rounding: 5.9e-11 at the default
-    # step, 2.2e-13 at a quarter of it and 6.9e-15 at 1/64 of it
-    modes, tau = _desk_modes(3, 3e-2, 2000)
-    p_ed = survival_probability(modes, 1.0, tau, OracleConfig(
-        n_modes=2000, method="exact_diagonalization")).probability
-    step = 0.1 / np.max(np.abs(modes.omega - 1.0))
-    gaps = [abs(_survival_rk4(modes, 1.0, tau, dt).probability - p_ed)
-            for dt in (None, step / 4.0, step / 64.0)]
-    assert gaps[0] >= 100.0 * gaps[1]
-    assert gaps[2] <= 1e-13
+    assert loss("rk4") == pytest.approx(loss("exact_diagonalization"), rel=1e-10, abs=0)
 
 
 def _wide_band_modes(n_modes):
     """Weakly coupled modes over (0, 57) at omega0 = 1 and tau = 100, where
-    RK4's series runs to K = 3033."""
+    the series runs to K = 3033."""
     modes = discretize_reservoir(_desk_reservoir(3), OracleConfig(n_modes=n_modes,
                                                                   band=(0.0, 57.0)))
     return DiscretizedModes(omega=modes.omega, g=1e-3 * modes.g), 100.0
@@ -369,7 +308,7 @@ def _wide_band_modes(n_modes):
 def _rk4_peak_bytes(modes, tau):
     tracemalloc.start()
     try:
-        _survival_rk4(modes, 1.0, tau, None)
+        _survival_series(modes, 1.0, tau)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -388,19 +327,11 @@ def test_rk4_memory_stays_linear_on_a_long_series():
     # take 18 MB
     modes, tau = _wide_band_modes(20_000)
     assert _series_order(modes, tau) > 3000
-    assert _rk4_peak_bytes(modes, tau) < 100 * 20_000
-
-
-def test_an_explicit_dt_above_the_stability_bound_is_capped():
-    modes, tau = _desk_modes(3, 3e-2, 2000)
-    bound = 0.1 / np.max(np.abs(modes.omega - 1.0))
-    cfg = OracleConfig(n_modes=2000, method="rk4")
-    want = survival_probability(modes, 1.0, tau, cfg)
-    assert survival_probability(modes, 1.0, tau, replace(cfg, dt=10.0 * bound)) == want
+    assert _rk4_peak_bytes(modes, tau) < 50 * 20_000
 
 
 # ---------------------------------------------------------------------------
-# RK4's moments against the vector recurrence
+# the series route's moments against the vector recurrence
 # ---------------------------------------------------------------------------
 
 def _kpm_moments(delta, g, center, radius, order):
@@ -434,8 +365,8 @@ def _kpm_moments(delta, g, center, radius, order):
     return nu[:order + 1]
 
 
-def _rk4_interval(delta, g):
-    """center and radius of H's spectrum by _survival_rk4's rule."""
+def _series_interval(delta, g):
+    """center and radius of H's spectrum by _survival_series's rule."""
     norm = float(np.linalg.norm(g))
     lo = min(0.0, float(delta.min())) - norm
     hi = max(0.0, float(delta.max())) + norm
@@ -443,14 +374,12 @@ def _rk4_interval(delta, g):
 
 
 def _series_order(modes, tau):
-    """K, the order of RK4's Chebyshev series at omega0 = 1."""
-    delta = modes.omega - 1.0
-    n_steps, h = _rk4_steps(delta, tau)
-    return _rk4_series(h, n_steps, *_rk4_interval(delta, modes.g)).shape[1] - 1
+    """K, the order of the propagator's Chebyshev series at omega0 = 1."""
+    return len(_propagator_series(tau, *_series_interval(modes.omega - 1.0, modes.g))) - 1
 
 
 def _assert_moments_match(delta, g, order):
-    center, radius = _rk4_interval(delta, g)
+    center, radius = _series_interval(delta, g)
     want = _kpm_moments(delta, g, center, radius, order)
     got = _arrowhead_moments(delta, g, center, radius, order)
     assert got.shape == (order + 1,)
