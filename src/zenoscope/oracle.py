@@ -12,21 +12,20 @@ Two integration routes guard against integrator bias: the exact propagator
 e^(-iH tau) summed as a Chebyshev series (method ``rk4``, the default) and
 exact diagonalization of the arrowhead Hamiltonian, which
 solves its secular equation in O(n_modes) memory, with no dense matrix.
-One pass forms, for every pole, the moments of the other poles'
-couplings: on the uniform mode grid as one FFT convolution, in
-O(n_modes log n_modes) time, and off it by blocked direct sums, in
-O(n_modes^2).  Each weakly coupled root, one that hugs its pole, is
-solved from that pole's series and kept only where a remainder bound
-certifies it, and the few others (next to the atom's level) by direct
-sums over the poles, in blocks of 1 MB of work arrays.  Everything runs
-on the calling thread.  The series route sums e^(-iH tau) e_0 in H
-(Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)), with no
-eigenvalues, so that it stays independent of the secular solver.  Its
-moments eliminate the modes exactly: the modes' own Chebyshev moments,
-by baby and giant steps and one matrix product per chunk of modes, then
-a scalar Toeplitz solve for the atom's (about 2 ms at 2000 modes and
-3-5 ms at 10^4 on a 2-core Xeon).  The method keeps the name ``rk4`` of
-the fixed-step integrator it replaced.
+On the uniform mode grid one FFT convolution, in O(n_modes log n_modes)
+time, forms for every pole the moments of the other poles' couplings.
+Each weakly coupled root, one that hugs its pole, is solved from that
+pole's series and kept only where a remainder bound certifies it, and
+the few others (next to the atom's level) by direct sums over the poles,
+in blocks of 1 MB of work arrays; off a grid every root is solved so.
+Everything runs on the calling thread.  The series route sums
+e^(-iH tau) e_0 in H (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
+(1984)), with no eigenvalues, so that it stays independent of the
+secular solver.  Its moments eliminate the modes exactly: the modes' own
+Chebyshev moments, by baby and giant steps and one matrix product per
+chunk of modes, then a scalar Toeplitz solve for the atom's (about 2 ms
+at 2000 modes and 3-5 ms at 10^4 on a 2-core Xeon).  The method keeps
+the name ``rk4`` of the fixed-step integrator it replaced.
 
 Because the modified/free rate ratio is coupling-independent in the
 perturbative regime that the rate formula describes, the rate extraction
@@ -66,27 +65,27 @@ _TWO_PI = 2.0 * math.pi
 BAND_COVERAGE = 1e3
 
 _EPS = float(np.finfo(float).eps)
-# Bytes of the secular passes' (rows x poles) work arrays: the block of
-# poles or roots summed directly at once is sized from them, so memory
-# stays O(n_modes).  The block also fixes the rows of each matrix-vector
-# product, whose rounding depends on them.  Off a lattice every pole's
-# moments are summed so, in O(n_modes^2); on one only the few poles
-# whose FFT moments are too loose (6 and 4 of 2000 at the oracle
-# benchmark's two eta = 3 ED points, 83 of 16,000 at eta = 3, nu = 1e-3).
+# Bytes of the direct secular sums' (roots x poles) work array: the block
+# of roots summed at once is sized from it, so memory stays O(n_modes).
+# The block also fixes the rows of each matrix-vector product, whose
+# rounding depends on them.  Off a lattice every root is solved so, in
+# O(n_modes^2); on one only the roots the series leave (11, 12, 8 and 5
+# of 2001 at the oracle benchmark's four ED points, 128 of 16,001 at
+# eta = 3, nu = 1e-3, where 83 poles' FFT moments are too loose).
 _BLOCK_BYTES = 1 << 20
 _SECULAR_MAX_ITER = 64
 # Local series of a weakly coupled root about its pole: its order P (even)
 # and the largest offset tried, as a share rho of the distance to the
 # nearest other pole.  At the oracle benchmark's four ED points (2000
-# modes), P = 4 leaves 11, 12, 2 and 1 of the 2001 roots to direct sums,
-# and P = 6 leaves 2, 2, 1 and 1, but forms two more moments per pole.
-# With the moments by FFT, medians of 40 solves on a 2-core Xeon took
-# 4.2-4.8 ms at P = 4 against 4.8-5.0 ms at P = 6, so P = 4 is kept; at
-# 16,000 modes (eta = 3, nu = 1e-3) P = 4 leaves 45 roots direct (P = 6
-# leaves 7) and takes 43 ms against 32 ms, with the same ratio.  With the
-# moments summed directly P = 4 also won at 2000 modes, 24 ms against
-# 27 ms.  P = 2 leaves up to 1995.  The largest rho certified was 4.0e-3,
-# and a cap of 0.5 in place of 1e-2 certified the same roots.
+# modes), P = 4 leaves 11, 12, 8 and 5 of the 2001 roots to direct sums
+# (6 and 4 of them at poles whose FFT moments are too loose), and P = 6
+# leaves 2, 2, 2 and 1, but forms two more moments per pole.  Medians of
+# 40 solves on a 2-core Xeon took 2.6-3.1 ms at P = 4 against 2.8-3.2 ms
+# at P = 6, so P = 4 is kept; at 16,000 modes (eta = 3, nu = 1e-3) P = 4
+# leaves 128 roots direct, 83 of them at loose poles (P = 6 leaves 25),
+# and takes 41 ms against 26 ms, with the same ratio.  P = 2 leaves up to
+# 1995.  The largest rho certified was 4.0e-3, and a cap of 0.5 in place
+# of 1e-2 certified the same roots.
 _SERIES_ORDER = 4
 _SERIES_RHO = 1e-2
 # Moments by FFT (_lattice_moments): how far a pole may sit off the
@@ -100,8 +99,9 @@ _LATTICE_RTOL = 1e-10
 # modes (_mode_moments), and the rows of _toeplitz_solve's diagonal block.
 _CHUNK_BYTES = 1 << 19
 _TOEPLITZ_BLOCK = 64
-# Mode limits: ED off a lattice takes O(n_modes**2) time (about 1.5 s at
-# 16,000 modes); the series route holds the chunk budget above plus
+# Mode limits: ED off a lattice solves every root by direct sums, in
+# O(n_modes**2) time (about 3.6 s at 16,000 jittered or random poles on a
+# 2-core Xeon); the series route holds the chunk budget above plus
 # O(n_modes) inputs.
 _ED_MAX_MODES = 20_000
 _MAX_MODES = 1_000_000
@@ -434,29 +434,6 @@ def _secular_block(j: np.ndarray, poles: np.ndarray, z2: np.ndarray, start: np.n
     weights[j] = 1.0 / slope
 
 
-def _moments_block(rows, poles: np.ndarray, z2: np.ndarray, s: np.ndarray,
-                   work: np.ndarray) -> None:
-    """s[a, p] = sum over k != a of z2_k / (poles[a] - poles[k])^(p+1), a in rows.
-
-    ``work`` holds two arrays of a row of pole terms for each pole of rows:
-    1 / (poles[a] - poles[k]) and its running power.
-    """
-    inv, power = work[0, :len(rows)], work[1, :len(rows)]
-    a = np.asarray(rows)
-    np.copyto(inv, poles[a][:, None])
-    inv -= poles
-    inv[np.arange(len(a)), a] = np.inf
-    np.reciprocal(inv, out=inv)
-    s[a, 0] = inv @ z2
-    # a close pair of poles may overflow the high powers: its roots then go direct
-    with np.errstate(over="ignore"):
-        np.square(inv, out=power)
-        for p in range(1, s.shape[1]):
-            if p > 1:
-                power *= inv
-            s[a, p] = power @ z2
-
-
 def _lattice(poles: np.ndarray) -> tuple[np.ndarray, float] | None:
     """(idx, h) with every pole within ``_LATTICE_TOL`` eps * scale of
     poles[0] + idx * h, idx ascending from 0 and below 2 * len(poles); or
@@ -475,9 +452,9 @@ def _lattice(poles: np.ndarray) -> tuple[np.ndarray, float] | None:
     return None
 
 
-def _lattice_moments(poles: np.ndarray, z2: np.ndarray, idx: np.ndarray, h: float,
-                     s: np.ndarray) -> np.ndarray:
-    """Fill s as ``_moments_block`` does, for poles on the lattice of ``_lattice``.
+def _lattice_moments(poles: np.ndarray, z2: np.ndarray, idx: np.ndarray,
+                     h: float) -> np.ndarray:
+    """The moments of ``_moments`` for poles on the lattice of ``_lattice``.
 
     With z2 set on the lattice (0 at its holes), S_p(a) = sum over lags j of
     z2(idx_a - j) K_p(j), K_p(j) = (j h)^-(p+1) and K_p(0) = 0: a linear
@@ -491,13 +468,13 @@ def _lattice_moments(poles: np.ndarray, z2: np.ndarray, idx: np.ndarray, h: floa
     Stability of Numerical Algorithms, 2nd ed., ch. 24), so
     20 eps log2(size) |z2|_2 |K_(P+1)|_1 bounds it (the errors measured at
     the oracle's weakly coupled poles stay below 3% of that), and it must
-    stay below ``_LATTICE_RTOL`` S_(P+1).  Returns the poles where it does
-    not, whose moments the caller sums directly.
+    stay below ``_LATTICE_RTOL`` S_(P+1).  The rows of the poles where it
+    does not are NaN.
     """
     n_lat = int(idx[-1]) + 1
     size = 1 << (2 * n_lat - 1).bit_length()
-    powers = np.arange(1, s.shape[1] + 1)[:, None]
-    kernels = np.zeros((s.shape[1], size))
+    powers = np.arange(1, _SERIES_ORDER + 3)[:, None]
+    kernels = np.zeros((len(powers), size))
     kernels[:, _LATTICE_NEAR + 1:n_lat] = np.arange(_LATTICE_NEAR + 1.0, n_lat) ** -powers
     # K_p(-j) = (-1)^(p+1) K_p(j)
     kernels[:, size - n_lat + 1:size - _LATTICE_NEAR] = (
@@ -509,41 +486,38 @@ def _lattice_moments(poles: np.ndarray, z2: np.ndarray, idx: np.ndarray, h: floa
     at = poles[0] + np.arange(n_lat) * h
     at[idx] = poles
     weights = weights[:n_lat]
-    near = np.zeros((s.shape[1], n_lat))
-    # as in _moments_block, a close pair of poles may overflow the high powers
+    near = np.zeros((len(powers), n_lat))
+    # a close pair of poles may overflow the high powers: its roots then go direct
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, min(_LATTICE_NEAR, n_lat - 1) + 1):
             # 1 / (pole i + j - pole i), then its powers
             inv = 1.0 / (at[j:] - at[:-j])
             power = inv.copy()
-            for p in range(s.shape[1]):
+            for p in range(len(powers)):
                 near[p, j:] += weights[:-j] * power
                 near[p, :-j] += weights[j:] * (power if p % 2 else -power)
                 power *= inv
         scale = h ** -powers
-        s[:] = (far[:, idx] * scale + near[:, idx]).T
+        s = (far[:, idx] * scale + near[:, idx]).T
         bound = (20.0 * _EPS * math.log2(size) * np.linalg.norm(z2)
                  * np.abs(kernels[-1]).sum() * scale[-1, 0])
-        return np.flatnonzero(~(bound <= _LATTICE_RTOL * s[:, -1]))
+        s[~(bound <= _LATTICE_RTOL * s[:, -1])] = np.nan
+    return s
 
 
 def _moments(poles: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """The moments s[a, p] of ``_moments_block``, p = 0 .. P + 1, of every pole.
+    """s[a, p] = sum over k != a of z2_k / (poles[a] - poles[k])^(p+1),
+    p = 0 .. P + 1, for every pole a.
 
     On a lattice they come from one FFT convolution (``_lattice_moments``),
-    in O(n log n); off it, and at the poles where the FFT's rounding bound
-    is too loose, from direct sums, O(n) a pole, in blocks of two arrays of
-    half the rows that ``_BLOCK_BYTES`` holds.
+    in O(n log n); off it every row is NaN, as are the rows whose FFT
+    rounding bound is too loose, and the roots of those poles go to
+    direct sums.
     """
-    m = len(poles)
-    half = max(2, _BLOCK_BYTES // (8 * m)) // 2
-    s = np.empty((m, _SERIES_ORDER + 2))
     lattice = _lattice(poles)
-    redo = range(m) if lattice is None else _lattice_moments(poles, z2, *lattice, s)
-    work = np.empty((2, min(half, len(redo)), m))
-    for first in range(0, len(redo), half):
-        _moments_block(redo[first:first + half], poles, z2, s, work)
-    return s
+    if lattice is None:
+        return np.full((len(poles), _SERIES_ORDER + 2), np.nan)
+    return _lattice_moments(poles, z2, *lattice)
 
 
 def _series_roots(poles: np.ndarray, z2: np.ndarray, s: np.ndarray, vals: np.ndarray,
@@ -553,7 +527,7 @@ def _series_roots(poles: np.ndarray, z2: np.ndarray, s: np.ndarray, vals: np.nda
     Near pole a, F(poles[a] + mu) = poles[a] + mu - z2_a / mu - psi(mu),
     where psi(mu) = sum_p (-mu)^p S_p(a) and phi = -psi' =
     sum_p (p + 1) (-mu)^p S_(p+1)(a), both cut at p = P = ``_SERIES_ORDER``,
-    with the moments S = s of ``_moments_block``.
+    with the moments S = s of ``_moments``.
 
     Pole a owns the root on its right when c_a = poles[a] - S_0(a) > 0,
     and the one on its left when c_a < 0.  ``_newton`` solves it from
@@ -619,13 +593,13 @@ def _secular_roots(poles: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.nd
     monotonically onto the root, so a step that would leave the bracket
     (anchor, mu) can only come from rounding and halves mu instead.
 
-    One pass forms every pole's moments (``_moments``): on a uniform grid,
-    holes allowed, as one FFT convolution in O(n log n), and otherwise by
-    blocked direct sums in O(n^2).  Each weakly coupled root, one that hugs
-    its pole, is solved from its pole's series (``_series_roots``).  The
-    rest (the roots near the atom's level, intervals owned twice or not at
-    all, and any root the series cannot certify) are solved by direct O(n)
-    sums per Newton step (``_secular_block``), from the midpoints of their
+    On a uniform grid, holes allowed, one FFT convolution forms every
+    pole's moments in O(n log n) (``_moments``), and each weakly coupled
+    root, one that hugs its pole, is solved from its pole's series
+    (``_series_roots``).  The rest (the roots near the atom's level,
+    intervals owned twice or not at all, any root the series cannot
+    certify, and off a grid every root) are solved by direct O(n) sums per
+    Newton step (``_secular_block``), from the midpoints of their
     intervals (the outer ends for the outer two), in blocks of
     ``_BLOCK_BYTES`` of work.
     """
@@ -653,9 +627,10 @@ def _arrowhead_eigensystem(modes: DiscretizedModes, omega0: float):
     their eigenvectors, 1 / (1 + sum g_k^2 / (lam - delta_k)^2).  Couplings
     at or below eps * scale, and all but the first pole of a tie (which
     takes the tie's whole coupling weight), leave their pole as an
-    eigenvalue of weight 0.  One moments pass, O(n log n) on a uniform
-    grid such as ``discretize_reservoir``'s and O(n^2) off it, plus direct
-    sums for the few roots the series leave; O(n) memory, about 1 MB.
+    eigenvalue of weight 0.  On a uniform grid such as
+    ``discretize_reservoir``'s, one O(n log n) moments pass plus direct sums
+    for the few roots the series leave; off it, direct sums for every root,
+    in O(n^2) time.  O(n) memory, about 1 MB.
     """
     if len(modes.omega) > _ED_MAX_MODES:
         raise DomainError(_ED_TOO_LARGE)

@@ -451,6 +451,10 @@ def _random_arrowhead(case, seed):
     elif case == "tied":
         omega = np.round(omega * 30.0) / 30.0
         g *= 1e-3
+    elif case == "jittered":
+        # a uniform grid shifted by up to a tenth of its spacing, off any lattice
+        omega = (np.arange(n) + 0.5 + rng.uniform(-0.1, 0.1, n)) * (3.0 / n)
+        g *= 1e-3
     elif case == "unsorted":
         perm = rng.permutation(n)
         omega, g = omega[perm], 1e-3 * g[perm] * rng.choice([-1.0, 1.0], n)
@@ -458,7 +462,7 @@ def _random_arrowhead(case, seed):
 
 
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("case", ["weak", "strong", "zero", "tied", "unsorted"])
+@pytest.mark.parametrize("case", ["weak", "strong", "zero", "tied", "jittered", "unsorted"])
 def test_exact_diagonalization_matches_dense_eigh(case, seed):
     modes, omega0 = _random_arrowhead(case, seed)
     vals, weights = _arrowhead_eigensystem(modes, omega0)
@@ -581,28 +585,23 @@ def test_secular_failure_raises_alike_and_leaves_no_thread(monkeypatch):
 
 
 def test_the_first_failing_secular_block_raises(monkeypatch):
-    # blocks 1 and 2 fail: of the 63 moments blocks of 32 poles, then, with
-    # every root sent to direct sums, of the 31 direct blocks of 65 roots.
-    # The poles are jittered off their lattice, which would take the
-    # moments by FFT, with no blocks.
+    # blocks 1 and 2 of the 31 direct blocks of 65 roots fail.  The poles
+    # are jittered off their lattice, so every root goes to direct sums.
     poles, z2 = _secular_problem(2000)
     poles = poles + np.random.default_rng(5).uniform(-0.1, 0.1, len(poles)) * np.diff(poles)[0]
     assert oracle._lattice(poles) is None
     before = threading.active_count()
-    for name, rows in (("_moments_block", 32), ("_secular_block", 65)):
-        solve = getattr(oracle, name)
+    solve = oracle._secular_block
 
-        def failing(block, *args, solve=solve, rows=rows):
-            if block[0] in (rows, 2 * rows):
-                raise NumericalError(f"block at {block[0]}")
-            solve(block, *args)
+    def failing(block, *args):
+        if block[0] in (65, 130):
+            raise NumericalError(f"block at {block[0]}")
+        solve(block, *args)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(oracle, name, failing)
-            _all_direct(patch)
-            with pytest.raises(NumericalError, match=f"^block at {rows}$"):
-                _secular_roots(poles, z2)
-            assert threading.active_count() == before
+    monkeypatch.setattr(oracle, "_secular_block", failing)
+    with pytest.raises(NumericalError, match="^block at 65$"):
+        _secular_roots(poles, z2)
+    assert threading.active_count() == before
 
 
 def _ed_problem(reservoir, nu, n_modes=2000):
@@ -634,11 +633,15 @@ def _holed(eta):
 
 
 def _direct_moments(poles, z2):
-    s = np.empty((len(poles), oracle._SERIES_ORDER + 2))
-    work = np.empty((2, 100, len(poles)))
-    for first in range(0, len(poles), 100):
-        oracle._moments_block(range(first, min(first + 100, len(poles))), poles, z2, s, work)
-    return s
+    """s[a, p] = sum over k != a of z2_k / (poles[a] - poles[k])^(p+1), in O(n^2)."""
+    inv = poles[:, None] - poles
+    np.fill_diagonal(inv, np.inf)
+    inv = 1.0 / inv
+    power, s = inv.copy(), []
+    for _ in range(oracle._SERIES_ORDER + 2):
+        s.append(power @ z2)
+        power *= inv
+    return np.column_stack(s)
 
 
 @pytest.mark.parametrize("eta, nu, holes", [
@@ -651,15 +654,24 @@ def test_lattice_moments_match_direct_sums(eta, nu, holes):
     idx, _ = oracle._lattice(poles)
     assert idx[-1] == 1999 and len(poles) == (1697 if holes else 2000)
     s, ref = oracle._moments(poles, z2), _direct_moments(poles, z2)
+    # the rows the FFT's rounding bound rejects are NaN: at eta = 3 those of
+    # the lowest, most weakly coupled poles, whose roots then go direct
+    loose = np.isnan(s).any(axis=1)
+    assert np.all(np.isnan(s[loose]))
+    assert np.array_equal(np.flatnonzero(loose), np.arange(loose.sum()))
+    assert (loose.sum() > 0) == (eta == 3)
+    if (eta, nu, holes) == (3, 1e-2, False):
+        assert loose.sum() == 6
+    s, ref = s[~loose], ref[~loose]
     # the even powers, S_(P+1) among them, sum positive terms
     assert np.all(np.abs(s[:, 1::2] / ref[:, 1::2] - 1.0) <= 1e-10)
     # the odd powers alternate in sign: their error is measured against
     # sum z2_k / |d_k|^(p+1) <= sqrt(S_(p-1) S_(p+1)) (Cauchy-Schwarz), S_-1 = sum z2
-    below = np.column_stack((np.full(len(poles), z2.sum()), ref[:, 1:-2:2]))
+    below = np.column_stack((np.full(len(ref), z2.sum()), ref[:, 1:-2:2]))
     assert np.all(np.abs(s[:, ::2] - ref[:, ::2]) <= 1e-12 * np.sqrt(below * ref[:, 1::2]))
 
 
-def test_moments_take_the_fft_path_only_on_short_lattices(monkeypatch):
+def test_moments_take_the_fft_path_only_on_short_lattices():
     poles, z2 = _secular_problem(500)
     idx, h = oracle._lattice(poles)
     assert np.array_equal(idx, np.arange(500)) and h == pytest.approx(11.0 / 500, rel=1e-12)
@@ -672,26 +684,15 @@ def test_moments_take_the_fft_path_only_on_short_lattices(monkeypatch):
     # 100 poles spread over a lattice of 2n + 1 = 201 points; 200 points pass
     assert oracle._lattice(poles[np.r_[0:99, 200]]) is None
     assert oracle._lattice(poles[np.r_[0:99, 199]]) is not None
-    # direct blocks sum every jittered pole's moments, and on a lattice only
-    # those of the weakest coupled poles, where the FFT's rounding bound is
-    # loose: none on this grid, the lowest 6 at eta = 3 and nu = 1e-2
+    # every jittered pole's moments are NaN, and on a lattice only those of
+    # the weakest coupled poles, where the FFT's rounding bound is loose:
+    # none on this grid, the lowest 6 at eta = 3 and nu = 1e-2
     jittered = poles + rng.uniform(-0.1, 0.1, 500) * h
-    rows, solve = [], oracle._moments_block
-
-    def block(a, *args):
-        rows.extend(a)
-        solve(a, *args)
-
-    monkeypatch.setattr(oracle, "_moments_block", block)
-    oracle._moments(jittered, z2)
-    assert rows == list(range(500))
-    rows.clear()
-    oracle._moments(poles, z2)
-    assert rows == []
-    problem = _ed_problem(_desk_reservoir(3), 1e-2)
-    rows.clear()
-    oracle._moments(*problem)
-    assert rows == list(range(6))
+    s = oracle._moments(jittered, z2)
+    assert s.shape == (500, oracle._SERIES_ORDER + 2) and np.all(np.isnan(s))
+    assert np.all(np.isfinite(oracle._moments(poles, z2)))
+    loose = np.isnan(oracle._moments(*_ed_problem(_desk_reservoir(3), 1e-2))).any(axis=1)
+    assert np.array_equal(np.flatnonzero(loose), np.arange(6))
 
 
 def _assert_series_matches_direct(default, direct, scale):
