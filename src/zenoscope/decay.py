@@ -13,11 +13,13 @@ order Gauss-Legendre nodes.  Beyond the near region the walk continues
 over lobe-aligned panels that group geometrically many lobes: there the
 kernel is split as sinc^2(u/2) = 2(1 - cos u)/u^2, the smooth 2 R/u^2 part
 is integrated exactly, and the oscillatory cosine part - whose panel
-boundaries sit on sinc zeros - telescopes to endpoint derivative terms
-that are added to the error estimate instead of the result.  The walk
-runs to a hard truncation at ``max_omega_factor`` times the cutoff, beyond
-which a power-law envelope bounds the remainder; the result is
-``converged`` when that bound is below ``rel_tol`` of the rate.
+boundaries sit on sinc zeros - telescopes to endpoint derivative terms,
+centered differences of 2 R/u^2, that are subtracted from the result;
+their absolute values, summed panel by panel, go into the error
+estimate.  The walk runs to a hard truncation at ``max_omega_factor``
+times the cutoff, beyond which a power-law envelope bounds the
+remainder; the result is ``converged`` when that bound is below
+``rel_tol`` of the rate.
 
 Each point makes one reservoir call.  The geometry is built for one side
 of resonance, from u = 0 outwards, and the side below is its mirror image:
@@ -201,8 +203,9 @@ def _side(d: float, near_lobes: int, n: int, aligned: bool, mirrored: bool = Fal
       its whole lobes a slice of ``_side_geometry``, then the lobe cut at d
       if d falls inside it; then the partial lobe beyond the walk, if any;
     - the far-field walk's nodes, empty inside the near region.  Beyond it
-      the walk is cut at d, or, when ``aligned``, at the lobe multiple below
-      d, and the partial lobe runs from that multiple to d;
+      the walk is cut at d, or, when ``aligned``, at the last lobe multiple
+      at least 1/2 below d, so that its bound shifted by +1/2 stays inside,
+      and the partial lobe runs from that multiple to d;
     - the walk's bounds shifted by +1/2, then by -1/2.
 
     ``w`` lists the weights of the full-kernel and walk nodes, ``s``
@@ -214,7 +217,7 @@ def _side(d: float, near_lobes: int, n: int, aligned: bool, mirrored: bool = Fal
     """
     edges, plus, minus, u, w, s = _side_geometry(near_lobes, n)
     lobe_k = _TWO_PI * near_lobes
-    end = max(lobe_k, _TWO_PI * math.floor(d / _TWO_PI)) if aligned and d > lobe_k else d
+    end = max(lobe_k, _TWO_PI * math.floor((d - 0.5) / _TWO_PI)) if aligned and d > lobe_k else d
     k = int(edges.searchsorted(end))
     whole = min(k - 1, near_lobes) * n
     cut_u, cut_w = _one_panel(float(edges[k - 1]), end, n)
@@ -236,16 +239,24 @@ def _side(d: float, near_lobes: int, n: int, aligned: bool, mirrored: bool = Fal
     return (*pieces, walk, shifted)
 
 
-def _telescoped(shifted: np.ndarray) -> float:
-    """Bound on the cosine part of a side's far-field walk.
+def _telescoped(shifted: np.ndarray) -> tuple[float, float]:
+    """The cosine part of a side's far-field walk, and a bound on it.
 
-    ``shifted`` holds the smooth part 2 R/u^2 at the panel bounds shifted
-    by +1/2, then at those shifted by -1/2; their centered differences dh
-    are what the cosine integrals telescope to.  Zero without panels.
+    ``shifted`` holds the smooth part h = 2 R/u^2 at the panel bounds
+    shifted by +1/2, then at those shifted by -1/2; their centered
+    differences dh stand for h' at the bounds, which lie on sinc zeros.
+    Each panel's integral of h cos u is h' at its upper bound less h' at
+    its lower, so the walk's telescopes to dh[-1] - dh[0]; on the side
+    below, whose bounds come outermost first with u negated, the same.
+    Returns that signed sum and |dh[0]| + |dh[-1]| + sum |dh[k+1] - dh[k]|,
+    both zero without panels.
     """
     half = shifted.size // 2
     dh = shifted[:half] - shifted[half:]
-    return float(abs(dh[0]) + abs(dh[-1]) + np.abs(dh[1:] - dh[:-1]).sum()) if dh.size else 0.0
+    if not dh.size:
+        return 0.0, 0.0
+    first, last = float(dh[0]), float(dh[-1])
+    return last - first, abs(first) + abs(last) + float(np.abs(dh[1:] - dh[:-1]).sum())
 
 
 def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
@@ -259,7 +270,8 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
     - ``omega_x``: the cutoff; the walk is truncated at
       ``max_omega_factor * omega_x`` (else at that multiple of omega0);
     - ``omega_support_end``: where R ends, truncating there with no remainder;
-      the walk then ends on a lobe multiple and the cut lobe is exact;
+      the walk then ends on a lobe multiple at least 1/2 inside it, where the
+      telescoped cosine part reads R on both sides, and the cut lobe is exact;
     - ``mu`` and ``term_powers()``: the rolloff exponent and the
       ``(amplitude, power)`` of every term, which must be integrable and
       give the power-law bound on the integral beyond the truncation.
@@ -325,12 +337,15 @@ def modified_rate_quadrature(reservoir, omega0: float, m: MeasurementSchedule,
     f = np.concatenate([below, *s_below, *s_above, above])
     f[lo:hi] *= r[lo:hi]
 
-    gamma = float(np.dot(f[shifted_below:u.size - shifted_above], w))
+    cos_below, bound_below = _telescoped(f[:shifted_below])
+    cos_above, bound_above = _telescoped(f[u.size - shifted_above:])
+    # the walks integrate 2 R/u^2 alone; sinc^2(u/2) takes off its cosine part
+    gamma = float(np.dot(f[shifted_below:u.size - shifted_above], w)) - cos_below - cos_above
     if not (gamma > 0 and math.isfinite(gamma)):
         raise NumericalError("quadrature produced a non-positive modified rate")
     beyond = 0.0 if truncated_by_support else _beyond_truncation_bound(
         terms, mu, omega_x, omega0, nu, omega_max)
-    err_abs = _telescoped(f[:shifted_below]) + _telescoped(f[u.size - shifted_above:]) + beyond
+    err_abs = bound_below + bound_above + beyond
 
     return DecayResult(
         ratio=gamma / gamma0,

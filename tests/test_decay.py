@@ -440,17 +440,88 @@ TIGHT = QuadratureConfig(near_lobes=1024, nodes_per_lobe=41, rel_tol=1e-13,
                          max_omega_factor=1000.0)
 
 
+def _transition(name):
+    if name == "5D-1S":
+        return load_reservoir_config(DATA / "5D-1S.json")
+    return builtin_transition(name)
+
+
 @pytest.mark.parametrize("transition", ["2P-1S", "3D-1S", "4F-1S", "5D-1S"])
 def test_err_estimate_bounds_the_error(transition):
-    if transition == "5D-1S":
-        reservoir, omega0 = load_reservoir_config(DATA / "5D-1S.json")
-    else:
-        reservoir, omega0 = builtin_transition(transition)
+    reservoir, omega0 = _transition(transition)
     for nu in (1e-7, 1e-4, 1e-2, 0.3):
         m = MeasurementSchedule(nu=nu)
         res = modified_rate_quadrature(reservoir, omega0, m)
         tight = modified_rate_quadrature(reservoir, omega0, m, TIGHT).ratio
         assert abs(res.ratio - tight) / tight <= res.err_estimate, nu
+
+
+@pytest.mark.parametrize("transition", ["2P-1S", "3D-1S", "4F-1S", "5D-1S"])
+def test_default_config_matches_the_tight_one(transition):
+    # without the far field's telescoped cosine part the default config sat
+    # up to 4.8e-7 off the tight one, and 2e-8 at nu <= 1e-6
+    reservoir, omega0 = _transition(transition)
+    for nu in (1e-9, 1e-6, 1e-3, 0.1):
+        m = MeasurementSchedule(nu=nu)
+        ratio = modified_rate_quadrature(reservoir, omega0, m).ratio
+        tight = modified_rate_quadrature(reservoir, omega0, m, TIGHT).ratio
+        assert abs(ratio / tight - 1.0) <= 1e-10, nu
+
+
+@pytest.mark.parametrize("transition, slope", [("2P-1S", 1.39327), ("3D-1S", 5485.23)])
+def test_small_nu_ratio_follows_its_slope(transition, slope):
+    # Gamma/Gamma0 = 1 + S nu + O(nu^2), with S the Hadamard finite part of
+    # the integral of R/(omega - omega0)^2 over pi R(omega0), found by scipy's
+    # quad to the digits given; without the cosine part the ratio sat 2e-8 high
+    reservoir, omega0 = builtin_transition(transition)
+    nu = 1e-9
+    res = modified_rate_quadrature(reservoir, omega0, MeasurementSchedule(nu=nu))
+    assert abs(res.ratio - 1.0 - slope * nu) <= 1e-10
+
+
+def _band_reference(reservoir, omega0, nu, band, n=1 << 20):
+    """Gamma/Gamma0 on a band by a midpoint sum, which shares no panel with
+    the quadrature.
+
+    The sum of R 4 sin^2(delta tau/2) / (delta^2 tau), tau = 1/nu, on a grid
+    that ends on the band's edges, where R's jumps cost nothing, is taken
+    at n and 2n nodes, in chunks of 2^20, and extrapolated in the spacing
+    by Richardson, (4b - a)/3.
+    """
+    lo, hi = band
+    chunk = 1 << 20
+
+    def midpoint(n):
+        h = (hi - lo) / n
+        total = 0.0
+        for first in range(0, n, chunk):
+            omega = lo + (np.arange(first, min(first + chunk, n)) + 0.5) * h
+            # 4 sin^2(delta tau/2) / (delta^2 tau) = tau sinc^2(delta tau/2)
+            kernel = np.sinc((omega - omega0) / (TWO_PI * nu)) ** 2 / nu
+            total += float(np.dot(reservoir(omega), kernel))
+        return total * h / fgr_rate(reservoir, omega0)
+
+    a, b = midpoint(n), midpoint(2 * n)
+    return (4.0 * b - a) / 3.0
+
+
+@pytest.mark.parametrize("reservoir, nu, hi", [
+    (SimpleReservoir(d=1.0, eta=3, mu=6, omega_x=5.0), 1e-3, 50.0),
+    (SimpleReservoir(d=1.0, eta=3, mu=6, omega_x=50.0), 3e-2, 31.0),
+    (builtin_transition("3D-1S")[0], 4.0 / (TWO_PI * 67), 5.0),
+], ids=["desk", "oracle-benchmark", "edge-on-a-lobe-multiple"])
+def test_band_limited_quadrature_matches_the_midpoint_reference(reservoir, nu, hi):
+    # the desk reservoir; the oracle benchmark's eta = 3, nu = 3e-2 point,
+    # where R is large at the band edge; and a band edge on a lobe multiple,
+    # where the walk must stop at least 1/2 short of it for the telescoped
+    # cosine part to read R on both sides of its last bound (else 2e-4 off,
+    # as the default config was at nu = 9.5e-3).  Without that part the ratio
+    # sat +2.0e-8, -1.1e-6 and +5.7e-9 off the reference, whose levels of
+    # 2^18 to 2^22 nodes agree within 4e-15 on the first
+    res = modified_rate_quadrature(BandLimitedReservoir(reservoir, (0.0, hi)), 1.0,
+                                   MeasurementSchedule(nu=nu))
+    ref = _band_reference(reservoir, 1.0, nu, (0.0, hi))
+    assert abs(res.ratio / ref - 1.0) <= 1e-10
 
 
 @pytest.mark.parametrize("transition", ["2P-1S", "3D-1S", "4F-1S"])
@@ -560,9 +631,9 @@ def test_cached_walk_matches_the_loop_bit_for_bit(near_lobes):
             assert mirrored[3:] == side[3:]
             for got, want in zip(mirrored[:3], side[:3]):
                 assert _same_bits(np.concatenate(got), np.concatenate(want)[::-1]), end
-            # aligned, the walk stops at the lobe multiple below end and the
-            # full-kernel partial lobe covers the rest
-            multiple = max(start, TWO_PI * math.floor(end / TWO_PI))
+            # aligned, the walk stops at the last lobe multiple at least 1/2
+            # below end and the full-kernel partial lobe covers the rest
+            multiple = max(start, TWO_PI * math.floor((end - 0.5) / TWO_PI))
             full_u, full_w, full_s, *aligned = _split(_side(end, near_lobes, n, aligned=True))
             if multiple > start:
                 cut = _split(_side(multiple, near_lobes, n, aligned=False))[3:]
@@ -613,7 +684,7 @@ def test_panel_midpoints_stay_finite_at_the_top_of_the_float_range():
         return omega ** 3 / (1.0 + (omega / 40.0) ** 2) ** 6
 
     res = modified_rate_quadrature(plain, 1.0, MeasurementSchedule(nu=3e-307))
-    assert res.ratio == 1.0000000195793541
+    assert res.ratio == 0.9999999999984863
 
 
 def test_one_geometry_per_configuration():

@@ -43,6 +43,23 @@ and charged twice to ``err_estimate``; no ``converged`` flag changed.  The
 ``sinking`` case now returns a ratio at nu = 1e-8 to 1e-3: there the stop
 dropped a negative band, which made the error estimate negative.
 
+When the far field's telescoped cosine part came to be subtracted from
+the rate, where it had only been added to the error estimate, and an
+aligned walk came to stop at the last lobe multiple at least 1/2 inside
+its end, so that the centered difference at its last bound reads R on
+both sides, every quadrature output was re-recorded once more:
+``quadrature.json``, ``quadrature-grid.json``, ``cli-json.txt``, the four
+CSV files, and ``ratio_quadrature`` and ``rel_difference`` of both oracle
+files, the latter from each file's own ``ratio_oracle`` and the new
+``ratio_quadrature``.  The oracle ratios did not move.  At the default
+config the ratios fell by about 2e-8 at small nu, the cosine part's bias
+over the 64 near lobes, and moved by up to 1.1e-6 at the oracle points,
+where R is large at the band edge, and up to 1e-5 at nu >= 0.3; at 4 near
+lobes by up to 3e-3.  No ``converged`` flag and no error changed.  The
+new oracle-file quadrature ratios lie within 1e-11 of a
+Richardson-extrapolated midpoint sum over each band, where the old ones
+were up to 1.1e-6 off.
+
 ``figure2-points200.csv`` was recorded from the serial path before long
 requests were shared out over worker processes; on two or more CPUs the
 test reads the split path, and CI diffs the console script's output
@@ -233,8 +250,8 @@ def _grid_nus(reservoir, omega0: float, cfg: QuadratureConfig) -> list[float]:
     nus += _neighbours(below / lobe_k) + _neighbours(above / lobe_k)
     # a partial lobe at omega = 0 and no walk below, and the same at the top
     nus += [below / (lobe_k + 0.5 * TWO_PI), above / (lobe_k + 0.5 * TWO_PI)]
-    # the walk below ending on omega = 0 exactly, with no partial lobe, and the
-    # walk above ending on the band edge exactly, with no edge lobe
+    # omega = 0 and the band edge exactly on a lobe multiple, where the walk
+    # below and the walk above stop a lobe short, leaving a whole lobe
     for k in (cfg.near_lobes + 3, 50 * cfg.near_lobes, 10 ** 6):
         nus += [_on_lobe_multiple(below, k), _on_lobe_multiple(above, k)]
     return nus
