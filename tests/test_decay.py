@@ -459,7 +459,7 @@ def test_err_estimate_bounds_the_error(transition):
 @pytest.mark.parametrize("transition", ["2P-1S", "3D-1S", "4F-1S", "5D-1S"])
 def test_default_config_matches_the_tight_one(transition):
     # without the far field's telescoped cosine part the default config sat
-    # up to 4.8e-7 off the tight one, and 2e-8 at nu <= 1e-6
+    # up to 8.6e-7 off the tight one, and 2e-8 at nu <= 1e-6
     reservoir, omega0 = _transition(transition)
     for nu in (1e-9, 1e-6, 1e-3, 0.1):
         m = MeasurementSchedule(nu=nu)
@@ -514,8 +514,8 @@ def test_band_limited_quadrature_matches_the_midpoint_reference(reservoir, nu, h
     # the desk reservoir; the oracle benchmark's eta = 3, nu = 3e-2 point,
     # where R is large at the band edge; and a band edge on a lobe multiple,
     # where the walk must stop at least 1/2 short of it for the telescoped
-    # cosine part to read R on both sides of its last bound (else 2e-4 off,
-    # as the default config was at nu = 9.5e-3).  Without that part the ratio
+    # cosine part to read R on both sides of its last bound (R = 0 read past
+    # the edge put the ratio 2e-4 off).  Without that part the ratio
     # sat +2.0e-8, -1.1e-6 and +5.7e-9 off the reference, whose levels of
     # 2^18 to 2^22 nodes agree within 4e-15 on the first
     res = modified_rate_quadrature(BandLimitedReservoir(reservoir, (0.0, hi)), 1.0,
