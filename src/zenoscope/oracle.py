@@ -17,10 +17,11 @@ time, forms for every pole the moments of the other poles' couplings.
 Each weakly coupled root, one that hugs its pole, is solved from that
 pole's series and kept only where a remainder bound certifies it, and
 the few others (next to the atom's level) by direct sums over the poles,
-in blocks of 1 MB of work arrays; off a grid every root is solved so.
-Everything runs on the calling thread.  The series route sums
-e^(-iH tau) e_0 in H (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
-(1984)), with no eigenvalues, so that it stays independent of the
+in blocks of 1 MB of work arrays.  Unless the coupled modes are equally
+spaced (off a grid, or where zero couplings leave holes in it) every
+root is solved so.  Everything runs on the calling thread.  The series
+route sums e^(-iH tau) e_0 in H (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
+3967 (1984)), with no eigenvalues, so that it stays independent of the
 secular solver.  Its moments eliminate the modes exactly: the modes' own
 Chebyshev moments, by baby and giant steps and one matrix product per
 chunk of modes, then a scalar Toeplitz solve for the atom's (about 2 ms
@@ -68,28 +69,25 @@ _EPS = float(np.finfo(float).eps)
 # Bytes of the direct secular sums' (roots x poles) work array: the block
 # of roots summed at once is sized from it, so memory stays O(n_modes).
 # The block also fixes the rows of each matrix-vector product, whose
-# rounding depends on them.  Off a lattice every root is solved so, in
-# O(n_modes^2); on one only the roots the series leave (11, 12, 8 and 5
+# rounding depends on them.  Off a full lattice every root is solved so,
+# in O(n_modes^2); on one only the roots the series leave (11, 12, 8 and 5
 # of 2001 at the oracle benchmark's four ED points, 128 of 16,001 at
 # eta = 3, nu = 1e-3, where 83 poles' FFT moments are too loose).
 _BLOCK_BYTES = 1 << 20
 _SECULAR_MAX_ITER = 64
-# Local series of a weakly coupled root about its pole: its order P (even)
-# and the largest offset tried, as a share rho of the distance to the
-# nearest other pole.  At the oracle benchmark's four ED points (2000
-# modes), P = 4 leaves 11, 12, 8 and 5 of the 2001 roots to direct sums
-# (6 and 4 of them at poles whose FFT moments are too loose), and P = 6
-# leaves 2, 2, 2 and 1, but forms two more moments per pole.  Medians of
-# 40 solves on a 2-core Xeon took 2.6-3.1 ms at P = 4 against 2.8-3.2 ms
-# at P = 6, so P = 4 is kept; at 16,000 modes (eta = 3, nu = 1e-3) P = 4
-# leaves 128 roots direct, 83 of them at loose poles (P = 6 leaves 25),
-# and takes 41 ms against 26 ms, with the same ratio.  P = 2 leaves up to
-# 1995.  The largest rho certified was 4.0e-3, and a cap of 0.5 in place
-# of 1e-2 certified the same roots.
+# Order P (even) of the local series of a weakly coupled root about its
+# pole.  At the oracle benchmark's four ED points (2000 modes), P = 4
+# leaves 11, 12, 8 and 5 of the 2001 roots to direct sums (6 and 4 of
+# them at poles whose FFT moments are too loose), and P = 6 leaves 2, 2,
+# 2 and 1, but forms two more moments per pole.  Medians of 40 solves on
+# a 2-core Xeon took 2.6-3.1 ms at P = 4 against 2.8-3.2 ms at P = 6, so
+# P = 4 is kept; at 16,000 modes (eta = 3, nu = 1e-3) P = 4 leaves 128
+# roots direct, 83 of them at loose poles (P = 6 leaves 25), and takes
+# 41 ms against 26 ms, with the same ratio.  P = 2 leaves up to 1995.  The
+# largest rho (_series_roots) certified at those points is 5.7e-4.
 _SERIES_ORDER = 4
-_SERIES_RHO = 1e-2
-# Moments by FFT (_lattice_moments): how far a pole may sit off the
-# lattice, in eps * scale (the oracle's grids sit within 2.5), the lags
+# Moments by FFT (_lattice_moments): how far a pole may sit off equal
+# spacing, in eps * scale (the oracle's grids sit within 2.5), the lags
 # summed directly on each side, and the relative accuracy demanded of
 # S_(P+1), which the series certificate reads.
 _LATTICE_TOL = 32.0
@@ -99,7 +97,7 @@ _LATTICE_RTOL = 1e-10
 # modes (_mode_moments), and the rows of _toeplitz_solve's diagonal block.
 _CHUNK_BYTES = 1 << 19
 _TOEPLITZ_BLOCK = 64
-# Mode limits: ED off a lattice solves every root by direct sums, in
+# Mode limits: ED off equal spacing solves every root by direct sums, in
 # O(n_modes**2) time (about 3.6 s at 16,000 jittered or random poles on a
 # 2-core Xeon); the series route holds the chunk budget above plus
 # O(n_modes) inputs.
@@ -434,71 +432,55 @@ def _secular_block(j: np.ndarray, poles: np.ndarray, z2: np.ndarray, start: np.n
     weights[j] = 1.0 / slope
 
 
-def _lattice(poles: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """(idx, h) with every pole within ``_LATTICE_TOL`` eps * scale of
-    poles[0] + idx * h, idx ascending from 0 and below 2 * len(poles); or
-    None when the poles lie on no such lattice."""
+def _lattice(poles: np.ndarray) -> float | None:
+    """The spacing h of ascending poles that all lie within ``_LATTICE_TOL``
+    eps * scale of poles[0] + k h, k = 0 .. len(poles) - 1; or None when
+    they are not so equally spaced."""
     m = len(poles)
-    span = poles[-1] - poles[0]
-    h0 = float(np.diff(poles).min()) if m > 1 else 0.0
-    # so that idx[-1] = rint(span / h0) <= 2 m - 1
-    if not span < (2 * m - 0.5) * h0:
-        return None
-    idx = np.rint((poles - poles[0]) / h0).astype(np.int64)
-    h = span / idx[-1]
+    h = (poles[-1] - poles[0]) / max(m - 1, 1)
     tol = _LATTICE_TOL * _EPS * max(abs(poles[0]), abs(poles[-1]))
-    if np.all(np.diff(idx) > 0) and np.all(np.abs(poles[0] + idx * h - poles) <= tol):
-        return idx, h
-    return None
+    return h if m > 1 and np.all(np.abs(poles[0] + np.arange(m) * h - poles) <= tol) else None
 
 
-def _lattice_moments(poles: np.ndarray, z2: np.ndarray, idx: np.ndarray,
-                     h: float) -> np.ndarray:
-    """The moments of ``_moments`` for poles on the lattice of ``_lattice``.
+def _lattice_moments(poles: np.ndarray, z2: np.ndarray, h: float) -> np.ndarray:
+    """The moments of ``_moments`` for poles spaced h apart (``_lattice``).
 
-    With z2 set on the lattice (0 at its holes), S_p(a) = sum over lags j of
-    z2(idx_a - j) K_p(j), K_p(j) = (j h)^-(p+1) and K_p(0) = 0: a linear
-    convolution, taken for every p by one FFT of z2, one of the kernels and
-    one inverse.  The ``_LATTICE_NEAR`` nearest lags on each side are left
-    out of the kernels and summed directly over the poles' own differences.
-    The FFT's rounding is on the scale of the largest couplings, so where
-    the couplings are weak it may still leave S_(P+1), which the series
-    certificate reads, too far off.  Each of the three transforms adds
-    about 6.7 eps log2(size) of its input's norm (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., ch. 24), so
-    20 eps log2(size) |z2|_2 |K_(P+1)|_1 bounds it (the errors measured at
-    the oracle's weakly coupled poles stay below 3% of that), and it must
-    stay below ``_LATTICE_RTOL`` S_(P+1).  The rows of the poles where it
-    does not are NaN.
+    S_p(a) = sum over lags j of z2(a - j) K_p(j), K_p(j) = (j h)^-(p+1) and
+    K_p(0) = 0: a linear convolution, taken for every p by one FFT of z2,
+    one of the kernels and one inverse.  The ``_LATTICE_NEAR`` nearest lags
+    on each side are left out of the kernels and summed directly over the
+    poles' own differences.  The FFT's rounding is on the scale of the
+    largest couplings, so where the couplings are weak it may still leave
+    S_(P+1), which the series certificate reads, too far off.  Each of the
+    three transforms adds about 6.7 eps log2(size) of its input's norm
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    ch. 24), so 20 eps log2(size) |z2|_2 |K_(P+1)|_1 bounds it (the errors
+    measured at the oracle's weakly coupled poles stay below 3% of that),
+    and it must stay below ``_LATTICE_RTOL`` S_(P+1).  The rows of the
+    poles where it does not are NaN.
     """
-    n_lat = int(idx[-1]) + 1
-    size = 1 << (2 * n_lat - 1).bit_length()
+    m = len(poles)
+    size = 1 << (2 * m - 1).bit_length()
     powers = np.arange(1, _SERIES_ORDER + 3)[:, None]
     kernels = np.zeros((len(powers), size))
-    kernels[:, _LATTICE_NEAR + 1:n_lat] = np.arange(_LATTICE_NEAR + 1.0, n_lat) ** -powers
+    kernels[:, _LATTICE_NEAR + 1:m] = np.arange(_LATTICE_NEAR + 1.0, m) ** -powers
     # K_p(-j) = (-1)^(p+1) K_p(j)
-    kernels[:, size - n_lat + 1:size - _LATTICE_NEAR] = (
-        kernels[:, n_lat - 1:_LATTICE_NEAR:-1] * (-1.0) ** powers)
-    weights = np.zeros(size)
-    weights[idx] = z2
-    far = np.fft.irfft(np.fft.rfft(kernels) * np.fft.rfft(weights), size)
-    # the lattice's own points stand in for its holes, whose weights are 0
-    at = poles[0] + np.arange(n_lat) * h
-    at[idx] = poles
-    weights = weights[:n_lat]
-    near = np.zeros((len(powers), n_lat))
+    kernels[:, size - m + 1:size - _LATTICE_NEAR] = (
+        kernels[:, m - 1:_LATTICE_NEAR:-1] * (-1.0) ** powers)
+    far = np.fft.irfft(np.fft.rfft(kernels) * np.fft.rfft(z2, size), size)[:, :m]
+    near = np.zeros((len(powers), m))
     # a close pair of poles may overflow the high powers: its roots then go direct
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, min(_LATTICE_NEAR, n_lat - 1) + 1):
+        for j in range(1, min(_LATTICE_NEAR, m - 1) + 1):
             # 1 / (pole i + j - pole i), then its powers
-            inv = 1.0 / (at[j:] - at[:-j])
+            inv = 1.0 / (poles[j:] - poles[:-j])
             power = inv.copy()
             for p in range(len(powers)):
-                near[p, j:] += weights[:-j] * power
-                near[p, :-j] += weights[j:] * (power if p % 2 else -power)
+                near[p, j:] += z2[:-j] * power
+                near[p, :-j] += z2[j:] * (power if p % 2 else -power)
                 power *= inv
         scale = h ** -powers
-        s = (far[:, idx] * scale + near[:, idx]).T
+        s = (far * scale + near).T
         bound = (20.0 * _EPS * math.log2(size) * np.linalg.norm(z2)
                  * np.abs(kernels[-1]).sum() * scale[-1, 0])
         s[~(bound <= _LATTICE_RTOL * s[:, -1])] = np.nan
@@ -509,15 +491,15 @@ def _moments(poles: np.ndarray, z2: np.ndarray) -> np.ndarray:
     """s[a, p] = sum over k != a of z2_k / (poles[a] - poles[k])^(p+1),
     p = 0 .. P + 1, for every pole a.
 
-    On a lattice they come from one FFT convolution (``_lattice_moments``),
-    in O(n log n); off it every row is NaN, as are the rows whose FFT
-    rounding bound is too loose, and the roots of those poles go to
-    direct sums.
+    On equally spaced poles they come from one FFT convolution
+    (``_lattice_moments``), in O(n log n); otherwise (a grid with holes
+    included) every row is NaN, as are the rows whose FFT rounding bound
+    is too loose, and the roots of those poles go to direct sums.
     """
-    lattice = _lattice(poles)
-    if lattice is None:
+    h = _lattice(poles)
+    if h is None:
         return np.full((len(poles), _SERIES_ORDER + 2), np.nan)
-    return _lattice_moments(poles, z2, *lattice)
+    return _lattice_moments(poles, z2, h)
 
 
 def _series_roots(poles: np.ndarray, z2: np.ndarray, s: np.ndarray, vals: np.ndarray,
@@ -531,12 +513,12 @@ def _series_roots(poles: np.ndarray, z2: np.ndarray, s: np.ndarray, vals: np.nda
 
     Pole a owns the root on its right when c_a = poles[a] - S_0(a) > 0,
     and the one on its left when c_a < 0.  ``_newton`` solves it from
-    mu = z2_a / c_a, where G > 0.  The root is accepted when its interval
-    has no other owner, mu lies on the owned side, rho = |mu| / near (near
-    being the distance to the nearest other pole) is at most
-    ``_SERIES_RHO``, and the terms cut off psi and phi are below eps times
-    psi and phi.  With P even, S_(P+1) sums positive terms, so
-    |mu|^(P+1) S_(P+1) / (1 - rho) bounds those of psi, and
+    mu = z2_a / c_a, where G > 0, if there the series converges: if
+    |mu| < near, the distance to the nearest other pole.  The root is
+    accepted when its interval has no other owner, mu lies on the owned
+    side, rho = |mu| / near < 1, and the terms cut off psi and phi are
+    below eps times psi and phi.  With P even, S_(P+1) sums positive
+    terms, so |mu|^(P+1) S_(P+1) / (1 - rho) bounds those of psi, and
     (P + 2) / (near (1 - rho)) times that bound those of phi.
 
     Returns the indices of every root not accepted, in ascending order.
@@ -551,7 +533,7 @@ def _series_roots(poles: np.ndarray, z2: np.ndarray, s: np.ndarray, vals: np.nda
         mu = z2 / c
         # the iterates fall from mu towards the anchor, so they stay where
         # the series converges
-        a = np.flatnonzero((np.abs(mu) <= _SERIES_RHO * near) & np.isfinite(s).all(axis=1))
+        a = np.flatnonzero((np.abs(mu) < near) & np.isfinite(s).all(axis=1))
         psi_coef = s[a, :-1].T
         phi_coef = s[a, 1:].T * np.arange(1, order + 2)[:, None]
 
@@ -566,7 +548,7 @@ def _series_roots(poles: np.ndarray, z2: np.ndarray, s: np.ndarray, vals: np.nda
         psi, phi = sums(slice(None), offset)
         rho = np.abs(offset) / near[a]
         tail = np.abs(offset) ** (order + 1) * s[a, -1] / (1.0 - rho)
-        ok = ((offset * c[a] > 0) & (rho <= _SERIES_RHO) & (tail <= _EPS * np.abs(psi))
+        ok = ((offset * c[a] > 0) & (rho < 1.0) & (tail <= _EPS * np.abs(psi))
               & ((order + 2) * tail / (near[a] * (1.0 - rho)) <= _EPS * phi))
     ok[busy] = False
     j = a + (c[a] > 0)
@@ -593,12 +575,12 @@ def _secular_roots(poles: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.nd
     monotonically onto the root, so a step that would leave the bracket
     (anchor, mu) can only come from rounding and halves mu instead.
 
-    On a uniform grid, holes allowed, one FFT convolution forms every
-    pole's moments in O(n log n) (``_moments``), and each weakly coupled
-    root, one that hugs its pole, is solved from its pole's series
-    (``_series_roots``).  The rest (the roots near the atom's level,
-    intervals owned twice or not at all, any root the series cannot
-    certify, and off a grid every root) are solved by direct O(n) sums per
+    On equally spaced poles one FFT convolution forms every pole's moments
+    in O(n log n) (``_moments``), and each weakly coupled root, one that
+    hugs its pole, is solved from its pole's series (``_series_roots``).
+    The rest (the roots near the atom's level, intervals owned twice or
+    not at all, any root the series cannot certify, and every root unless
+    the poles are equally spaced) are solved by direct O(n) sums per
     Newton step (``_secular_block``), from the midpoints of their
     intervals (the outer ends for the outer two), in blocks of
     ``_BLOCK_BYTES`` of work.
@@ -627,10 +609,10 @@ def _arrowhead_eigensystem(modes: DiscretizedModes, omega0: float):
     their eigenvectors, 1 / (1 + sum g_k^2 / (lam - delta_k)^2).  Couplings
     at or below eps * scale, and all but the first pole of a tie (which
     takes the tie's whole coupling weight), leave their pole as an
-    eigenvalue of weight 0.  On a uniform grid such as
+    eigenvalue of weight 0.  On a full uniform grid such as
     ``discretize_reservoir``'s, one O(n log n) moments pass plus direct sums
-    for the few roots the series leave; off it, direct sums for every root,
-    in O(n^2) time.  O(n) memory, about 1 MB.
+    for the few roots the series leave; off it, holes included, direct sums
+    for every root, in O(n^2) time.  O(n) memory, about 1 MB.
     """
     if len(modes.omega) > _ED_MAX_MODES:
         raise DomainError(_ED_TOO_LARGE)
@@ -716,6 +698,11 @@ def _with_band(cfg: OracleConfig | None, omega0: float, nu: float) -> OracleConf
     if cfg is None:
         cfg = OracleConfig()
     required = (max(0.0, omega0 - BAND_COVERAGE * nu), omega0 + BAND_COVERAGE * nu)
+    d_omega = (required[1] - required[0]) / cfg.n_modes
+    # placed as discretize_reservoir places them, the first two modes must differ
+    if not required[0] + 0.5 * d_omega < required[0] + 1.5 * d_omega:
+        raise DomainError(f"measurement rate nu={nu!r} is too small: {cfg.n_modes} modes "
+                          f"over omega0 +- {BAND_COVERAGE:g} nu round onto each other")
     if cfg.band is None:
         return replace(cfg, band=required)
     band = cfg.band

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -272,7 +273,7 @@ class FullReservoir:
             raise DomainError(f"mu must be finite, got {self.mu!r}")
         if not 0.0 < self.omega_x < math.inf:
             raise DomainError("omega_x must be finite and positive")
-        terms = tuple((int(j), int(r), float(d)) for j, r, d in self.terms)
+        terms = tuple((_whole(j, "J"), _whole(r, "r"), float(d)) for j, r, d in self.terms)
         object.__setattr__(self, "terms", terms)
         if not terms:
             raise DomainError("at least one (J, r, D) term is required")
@@ -371,11 +372,20 @@ def builtin_transition(name: str) -> tuple[SimpleReservoir, float]:
                            omega_x=_BUILTIN_OMEGA_X[name]), 1.0
 
 
+def _whole(value, name: str) -> int:
+    """``value`` as an int; a bool, a string or a fraction, which int() would
+    take or truncate, is a DomainError naming ``name``."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or (
+            isinstance(value, float) and value.is_integer())):
+        raise DomainError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _field(where: str, entry: dict, key: str, kind=None, default=None):
     """``kind(entry[key])``, or ``entry[key]`` without ``kind``.
 
     An absent key gives ``default``, or without one a DomainError naming the
-    key; so does a value that ``kind`` rejects.
+    key; so does a value that ``kind`` (``_whole`` for int) rejects.
     """
     if key not in entry:
         if default is None:
@@ -383,6 +393,8 @@ def _field(where: str, entry: dict, key: str, kind=None, default=None):
         return default
     if kind is None:
         return entry[key]
+    if kind is int:
+        return _whole(entry[key], f"{where} key {key!r}")
     try:
         return kind(entry[key])
     except (TypeError, ValueError, OverflowError):

@@ -350,7 +350,14 @@ _GOOD_CONFIG = ('{"character": "electric", "n_g": 1, "l_g": 0, "m_g": 0, '
     (_GOOD_CONFIG.replace('"n_g": 1', '"n_g": "one"') + "}", "'n_g'"),
     ("[" + _GOOD_CONFIG + "}]", "JSON object"),
     ("character = electric\n", "reservoir.json is not JSON"),
-], ids=["term-without-J", "non-integer-n_g", "top-level-list", "not-json"])
+    # int() would truncate these to 3, (2, 0) and (2, 0), parse "2" and take true as 1
+    (_GOOD_CONFIG.replace('"n_e": 3', '"n_e": 3.9') + "}", "'n_e'"),
+    (_GOOD_CONFIG + ', "terms": [{"J": 2.6, "r": 0, "D": 1.0}]}', "'J'"),
+    (_GOOD_CONFIG + ', "terms": [{"J": 2, "r": 0.4, "D": 1.0}]}', "'r'"),
+    (_GOOD_CONFIG.replace('"l_e": 2', '"l_e": "2"') + "}", "'l_e'"),
+    (_GOOD_CONFIG.replace('"n_g": 1', '"n_g": true') + "}", "'n_g'"),
+], ids=["term-without-J", "non-integer-n_g", "top-level-list", "not-json", "fractional-n_e",
+        "fractional-J", "fractional-r", "string-l_e", "bool-n_g"])
 def test_malformed_config_is_a_domain_error(capsys, tmp_path, text, named):
     path = tmp_path / "reservoir.json"
     path.write_text(text)
@@ -561,6 +568,16 @@ def test_oracle_command(capsys):
     assert doc["rel_difference"] < 0.03
     assert doc["ratio_quadrature"] > 1.0
     assert doc["method"] == "rk4"
+
+
+@pytest.mark.parametrize("nu", ["1e-300", "1e-16"])
+def test_oracle_rejects_a_nu_too_small_for_its_band(capsys, nu):
+    # omega0 +- 1e3 nu rounds to the single point 1.0, or its 10^4 modes
+    # round onto each other: the error names nu, not the band the command
+    # builds from it, nor a division by the zero spacing
+    code, out, err = run_cli(capsys, "oracle", "--nu", nu)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: measurement rate nu={float(nu)!r} is too small"), err
 
 
 def test_oracle_rejects_a_vanishing_free_rate(capsys):

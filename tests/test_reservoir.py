@@ -331,6 +331,17 @@ def test_full_construction_errors():
     assert r.leading_term() == (0.0, 3)
 
 
+@pytest.mark.parametrize("j, r, named", [
+    (2.6, 0, "J"), (2, 0.4, "r"), ("2", 0, "J"), (2, True, "r"), (2, math.nan, "r")])
+def test_full_terms_take_whole_numbers_only(j, r, named):
+    # int() would truncate 2.6 and 0.4, parse "2" and take True as 1
+    with pytest.raises(DomainError, match=f"^{named} must be a whole number"):
+        FullReservoir(terms=((j, r, 1.0),), epsilon=0, mu=6, omega_x=1.0, j_range=(2, 3))
+    whole = FullReservoir(terms=((np.int64(2), 0.0, 1.0),), epsilon=0, mu=6, omega_x=1.0,
+                          j_range=(2, 3))
+    assert whole.terms == ((2, 0, 1.0),) and type(whole.terms[0][0]) is int
+
+
 def test_full_from_transition_respects_selection_rules():
     t = BUILTIN_QUANTUM_NUMBERS["3D-1S"]
     r = FullReservoir.from_transition(t, omega_x=411.1)
