@@ -67,8 +67,6 @@ __all__ = [
     "analytic_rate",
 ]
 
-_TWO_PI = 2.0 * math.pi
-
 METHOD_QUADRATURE = "quadrature"
 METHOD_ORACLE = "oracle"
 # the closed-form tags are the reservoir classes' ``closed_form``
@@ -133,7 +131,7 @@ def fgr_rate(reservoir, omega0: float) -> float:
     """Free (golden-rule) decay rate 2 pi R(omega0)."""
     if omega0 <= 0:
         raise DomainError("omega0 must be positive")
-    return _TWO_PI * float(reservoir(omega0))
+    return math.tau * float(reservoir(omega0))
 
 
 _GROWTH = 1.25  # far-field panel width ratio
@@ -177,10 +175,10 @@ def _side_geometry(near_lobes: int, n: int):
     1.25 times and one lobe beyond the last, until the next would overflow,
     so the walk covers every finite end.
     """
-    edges = [_TWO_PI * k for k in range(near_lobes + 1)]
+    edges = [math.tau * k for k in range(near_lobes + 1)]
     while True:
-        reach = max(edges[-1] * _GROWTH, edges[-1] + _TWO_PI) / _TWO_PI
-        nxt = _TWO_PI * math.ceil(reach) if reach < math.inf else math.inf
+        reach = max(edges[-1] * _GROWTH, edges[-1] + math.tau) / math.tau
+        nxt = math.tau * math.ceil(reach) if reach < math.inf else math.inf
         if nxt == math.inf:
             break
         edges.append(nxt)
@@ -216,8 +214,8 @@ def _side(d: float, near_lobes: int, n: int, aligned: bool, mirrored: bool = Fal
     negated: each list in the other order, and each piece reversed.
     """
     edges, plus, minus, u, w, s = _side_geometry(near_lobes, n)
-    lobe_k = _TWO_PI * near_lobes
-    end = max(lobe_k, _TWO_PI * math.floor((d - 0.5) / _TWO_PI)) if aligned and d > lobe_k else d
+    lobe_k = math.tau * near_lobes
+    end = max(lobe_k, math.tau * math.floor((d - 0.5) / math.tau)) if aligned and d > lobe_k else d
     k = int(edges.searchsorted(end))
     whole = min(k - 1, near_lobes) * n
     cut_u, cut_w = _one_panel(float(edges[k - 1]), end, n)
@@ -376,46 +374,17 @@ def _beyond_truncation_bound(terms, mu, omega_x, omega0: float, nu: float,
     return bound
 
 
-@functools.lru_cache(maxsize=64)
-def _tail_sum(term_powers: tuple, d_lead: float, mu) -> float:
-    """Sum over the terms (D, p) with p > 3/2 of (D/D_lead) B(mu - (p-1)/2, (p-1)/2).
-
-    It does not depend on nu, so it is computed once per reservoir.
-    """
-    total = 0.0
-    for d, power in term_powers:
-        if power <= 1.5:  # step-function gate: no tail below quadratic growth
-            continue
-        total += (d / d_lead) * beta(0.5 * (1 - power) + mu, -0.5 * (1 - power))
-    return total
-
-
-def _tail_excess(reservoir, x: float, y: float) -> float:
-    """Measurement-induced excess of Gamma/Gamma0, in units of the free rate.
-
-    x = omega_x/omega0, y = nu/omega0.  Every term (D, p) with p > 3/2
-    adds (D/D_lead) B(mu - (p-1)/2, (p-1)/2) relative to the leading term
-    (D_lead, eta_lead); the sum is scaled by y x^(eta_lead - 1) / (2 pi).
-    A lone eta = 1 term has no excess.
-    """
-    d_lead, eta_lead = reservoir.leading_term()
-    if d_lead == 0.0:
-        raise DegenerateTransitionError(
-            "the (J_min, r=0) coupling amplitude vanishes, so the leading-order "
-            "free rate cannot normalize the closed-form ratio; this degenerate "
-            "case has no defined closed form here and is rejected rather than "
-            "silently renormalized")
-    total = _tail_sum(reservoir.term_powers(), d_lead, reservoir.mu)
-    return y * x ** (eta_lead - 1) * total / _TWO_PI
-
-
 def analytic_rate(reservoir, omega0: float, m: MeasurementSchedule) -> DecayResult:
     """Closed-form DecayResult for a package reservoir in any unit system.
 
     The resonant part is the free rate and the tail its Beta-function
     excess, valid in the wide-reservoir hierarchy omega_x >> omega0 (a
-    warning is issued below a ratio of 10).  Raises
-    DegenerateTransitionError when the leading coupling vanishes.
+    warning is issued below a ratio of 10).  With x = omega_x/omega0 and
+    y = nu/omega0, every term (D, p) with p > 3/2 adds
+    (D/D_lead) B(mu - (p-1)/2, (p-1)/2) relative to the leading term
+    (D_lead, eta_lead), and the sum is scaled by y x^(eta_lead - 1) / (2 pi);
+    a lone eta = 1 term has no excess.  Raises DegenerateTransitionError
+    when the leading coupling vanishes.
     """
     method = getattr(reservoir, "closed_form", None)
     if method is None:
@@ -429,7 +398,19 @@ def analytic_rate(reservoir, omega0: float, m: MeasurementSchedule) -> DecayResu
             "ratio assumes a wide reservoir and may be inaccurate",
             stacklevel=2,
         )
-    tail = _tail_excess(reservoir, x, m.nu / omega0)
+    d_lead, eta_lead = reservoir.leading_term()
+    if d_lead == 0.0:
+        raise DegenerateTransitionError(
+            "the (J_min, r=0) coupling amplitude vanishes, so the leading-order "
+            "free rate cannot normalize the closed-form ratio; this degenerate "
+            "case has no defined closed form here and is rejected rather than "
+            "silently renormalized")
+    total = 0.0
+    for d, power in reservoir.term_powers():
+        if power <= 1.5:  # step-function gate: no tail below quadratic growth
+            continue
+        total += (d / d_lead) * beta(0.5 * (1 - power) + reservoir.mu, -0.5 * (1 - power))
+    tail = m.nu / omega0 * x ** (eta_lead - 1) * total / math.tau
     gamma0 = fgr_rate(reservoir, omega0)
     return DecayResult(
         ratio=1.0 + tail,

@@ -211,8 +211,7 @@ class SimpleReservoir:
     omega_x: float
 
     def __post_init__(self):
-        # the range first: int() of an infinite or NaN eta would raise
-        if not 1 <= self.eta < math.inf or self.eta != int(self.eta):
+        if _whole(self.eta, "eta") < 1:
             raise DomainError("eta must be an integer >= 1")
         # a NaN mu would pass the integrability test below
         if not math.isfinite(self.mu):
@@ -385,21 +384,24 @@ def _field(where: str, entry: dict, key: str, kind=None, default=None):
     """``kind(entry[key])``, or ``entry[key]`` without ``kind``.
 
     An absent key gives ``default``, or without one a DomainError naming the
-    key; so does a value that ``kind`` (``_whole`` for int) rejects.
+    key; so does a value that ``kind`` (``_whole`` for int) rejects, and a
+    bool or a string, which float() would parse, where ``kind`` is float.
     """
     if key not in entry:
         if default is None:
             raise DomainError(f"{where} is missing key {key!r}")
         return default
+    value = entry[key]
     if kind is None:
-        return entry[key]
+        return value
     if kind is int:
-        return _whole(entry[key], f"{where} key {key!r}")
-    try:
-        return kind(entry[key])
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{where} key {key!r} must be a finite number, "
-                          f"got {entry[key]!r}") from None
+        return _whole(value, f"{where} key {key!r}")
+    if not isinstance(value, (bool, str)):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise DomainError(f"{where} key {key!r} must be a finite number, got {value!r}")
 
 
 def _term_amplitude(entry: dict, t: Transition, j: int) -> float:

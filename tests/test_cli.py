@@ -356,8 +356,14 @@ _GOOD_CONFIG = ('{"character": "electric", "n_g": 1, "l_g": 0, "m_g": 0, '
     (_GOOD_CONFIG + ', "terms": [{"J": 2, "r": 0.4, "D": 1.0}]}', "'r'"),
     (_GOOD_CONFIG.replace('"l_e": 2', '"l_e": "2"') + "}", "'l_e'"),
     (_GOOD_CONFIG.replace('"n_g": 1', '"n_g": true') + "}", "'n_g'"),
+    # float() would parse "1" and "1.0" and take true as 1.0
+    (_GOOD_CONFIG + ', "z": "1"}', "'z'"),
+    (_GOOD_CONFIG + ', "z": true}', "'z'"),
+    (_GOOD_CONFIG + ', "terms": [{"J": 2, "r": 0, "D": "1.0"}]}', "'D'"),
+    (_GOOD_CONFIG + ', "terms": [{"J": 2, "r": 0, "D": true}]}', "'D'"),
 ], ids=["term-without-J", "non-integer-n_g", "top-level-list", "not-json", "fractional-n_e",
-        "fractional-J", "fractional-r", "string-l_e", "bool-n_g"])
+        "fractional-J", "fractional-r", "string-l_e", "bool-n_g", "string-z", "bool-z",
+        "string-D", "bool-D"])
 def test_malformed_config_is_a_domain_error(capsys, tmp_path, text, named):
     path = tmp_path / "reservoir.json"
     path.write_text(text)
@@ -570,11 +576,12 @@ def test_oracle_command(capsys):
     assert doc["method"] == "rk4"
 
 
-@pytest.mark.parametrize("nu", ["1e-300", "1e-16"])
+@pytest.mark.parametrize("nu", ["1e-300", "1e-16", "3e-16", "1e-14"])
 def test_oracle_rejects_a_nu_too_small_for_its_band(capsys, nu):
-    # omega0 +- 1e3 nu rounds to the single point 1.0, or its 10^4 modes
-    # round onto each other: the error names nu, not the band the command
-    # builds from it, nor a division by the zero spacing
+    # omega0 +- 1e3 nu rounds to the single point 1.0, its 10^4 modes round
+    # onto each other, or they lie under 32 rounding units of 1.0 apart: the
+    # error names nu, not the band the command builds from it, nor a
+    # division by the zero spacing
     code, out, err = run_cli(capsys, "oracle", "--nu", nu)
     assert code == 2 and out == ""
     assert err.startswith(f"error: measurement rate nu={float(nu)!r} is too small"), err

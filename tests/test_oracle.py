@@ -60,8 +60,9 @@ def test_oracle_config_validation():
     assert OracleConfig().dt is None
     with pytest.raises(DomainError):
         OracleConfig(coupling_scale=0.0)
-    with pytest.raises(DomainError, match="whole number"):
-        OracleConfig(n_modes=100.5)
+    for n_modes in (100.5, "100"):
+        with pytest.raises(DomainError, match="whole number"):
+            OracleConfig(n_modes=n_modes)
     assert OracleConfig(n_modes=np.int64(2000)).n_modes == 2000
     # an infinite band edge would space the modes inf apart
     for band in ((0.0, math.inf), (0.0, math.nan), (math.nan, 1.0)):

@@ -167,7 +167,8 @@ def test_simple_reservoir_validation():
         SimpleReservoir(d=1.0, eta=0, mu=4, omega_x=10.0)
     with pytest.raises(DomainError):
         SimpleReservoir(d=1.0, eta=2.5, mu=4, omega_x=10.0)  # eta is 2J - 1 + 2 epsilon
-    for eta in (math.inf, math.nan):
+    # int() would take true as 1 and parse "3"
+    for eta in (math.inf, math.nan, True, "3"):
         with pytest.raises(DomainError, match="eta"):
             SimpleReservoir(d=1.0, eta=eta, mu=4, omega_x=10.0)
     with pytest.raises(DomainError):
