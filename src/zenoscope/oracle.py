@@ -8,25 +8,15 @@ measurement interval.  Projective measurements are modeled as exact
 coherence erasures between intervals, so P_n = P(tau)^n and a single
 interval determines the rate: Gamma = -ln P(tau) / tau.
 
-Two integration routes guard against integrator bias: the exact propagator
-e^(-iH tau) summed as a Chebyshev series (method ``rk4``, the default) and
-exact diagonalization of the arrowhead Hamiltonian, which
-solves its secular equation in O(n_modes) memory, with no dense matrix.
-On the uniform mode grid one FFT convolution, in O(n_modes log n_modes)
-time, forms for every pole the moments of the other poles' couplings.
-Each weakly coupled root, one that hugs its pole, is solved from that
-pole's series and kept only where a remainder bound certifies it, and
-the few others (next to the atom's level) by direct sums over the poles,
-in blocks of 1 MB of work arrays.  Unless the coupled modes are equally
-spaced (off a grid, or where zero couplings leave holes in it) every
-root is solved so.  Everything runs on the calling thread.  The series
-route sums e^(-iH tau) e_0 in H (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
-3967 (1984)), with no eigenvalues, so that it stays independent of the
-secular solver.  Its moments eliminate the modes exactly: the modes' own
-Chebyshev moments, by baby and giant steps and one matrix product per
-chunk of modes, then a scalar Toeplitz solve for the atom's (about 2 ms
-at 2000 modes and 3-5 ms at 10^4 on a 2-core Xeon).  The method keeps
-the name ``rk4`` of the fixed-step integrator it replaced.
+The amplitude is the exact propagator e^(-iH tau) e_0, summed as a
+Chebyshev series in H (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
+(1984)), with no time step and no eigenvalues.  Its moments eliminate the
+modes exactly: the modes' own Chebyshev moments, by baby and giant steps
+and one matrix product per chunk of modes, then a scalar Toeplitz solve
+for the atom's (about 2 ms at 2000 modes and 3-5 ms at 10^4 on a 2-core
+Xeon).  Everything runs on the calling thread.  The tests check it
+against dense diagonalization of the arrowhead and against the g^2 sum of
+perturbation theory.
 
 Because the modified/free rate ratio is coupling-independent in the
 perturbative regime that the rate formula describes, the rate extraction
@@ -42,7 +32,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .decay import METHOD_ORACLE, DecayResult, fgr_rate, modified_rate_quadrature
 from .errors import DomainError, NumericalError
@@ -64,46 +53,12 @@ __all__ = [
 # of the measurement rate.
 BAND_COVERAGE = 1e3
 
-_EPS = float(np.finfo(float).eps)
-# Bytes of the direct secular sums' (roots x poles) work array: the block
-# of roots summed at once is sized from it, so memory stays O(n_modes).
-# The block also fixes the rows of each matrix-vector product, whose
-# rounding depends on them.  Off a full lattice every root is solved so,
-# in O(n_modes^2); on one only the roots the series leave (11, 12, 8 and 5
-# of 2001 at the oracle benchmark's four ED points, 128 of 16,001 at
-# eta = 3, nu = 1e-3, where 83 poles' FFT moments are too loose).
-_BLOCK_BYTES = 1 << 20
-_SECULAR_MAX_ITER = 64
-# Order P (even) of the local series of a weakly coupled root about its
-# pole.  At the oracle benchmark's four ED points (2000 modes), P = 4
-# leaves 11, 12, 8 and 5 of the 2001 roots to direct sums (6 and 4 of
-# them at poles whose FFT moments are too loose), and P = 6 leaves 2, 2,
-# 2 and 1, but forms two more moments per pole.  Medians of 40 solves on
-# a 2-core Xeon took 2.6-3.1 ms at P = 4 against 2.8-3.2 ms at P = 6, so
-# P = 4 is kept; at 16,000 modes (eta = 3, nu = 1e-3) P = 4 leaves 128
-# roots direct, 83 of them at loose poles (P = 6 leaves 25), and takes
-# 41 ms against 26 ms, with the same ratio.  P = 2 leaves up to 1995.  The
-# largest rho (_series_roots) certified at those points is 5.7e-4.
-_SERIES_ORDER = 4
-# Moments by FFT (_lattice_moments): how far a pole may sit off equal
-# spacing, in eps * scale (the oracle's grids sit within 2.5), the lags
-# summed directly on each side, and the relative accuracy demanded of
-# S_(P+1), which the series certificate reads.
-_LATTICE_TOL = 32.0
-_LATTICE_NEAR = 8
-_LATTICE_RTOL = 1e-10
-# The series route's moments: bytes of the Chebyshev rows of each chunk of
-# modes (_mode_moments), and the rows of _toeplitz_solve's diagonal block.
+# The series' moments: bytes of the Chebyshev rows of each chunk of modes
+# (_mode_moments), and the rows of _toeplitz_solve's diagonal block.
 _CHUNK_BYTES = 1 << 19
 _TOEPLITZ_BLOCK = 64
-# Mode limits: ED off equal spacing solves every root by direct sums, in
-# O(n_modes**2) time (about 3.6 s at 16,000 jittered or random poles on a
-# 2-core Xeon); the series route holds the chunk budget above plus
-# O(n_modes) inputs.
-_ED_MAX_MODES = 20_000
+# The series holds the chunk budget above plus O(n_modes) inputs.
 _MAX_MODES = 1_000_000
-_ED_TOO_LARGE = (f"exact diagonalization is limited to n_modes <= {_ED_MAX_MODES} "
-                 "(off a uniform grid its time grows as n_modes**2)")
 
 METHOD_RK4 = "rk4"
 METHOD_ED = "exact_diagonalization"
@@ -113,15 +68,19 @@ METHOD_ED = "exact_diagonalization"
 class OracleConfig:
     """Discretization and integration parameters.
 
-    band is (omega_lo, omega_hi) in rad/s.  method ``rk4`` sums the exact
-    propagator as a Chebyshev series and takes no time step; the name is
-    kept from the fixed-step integrator it replaced.  coupling_scale = None
-    rescales the couplings automatically into the perturbative regime;
-    pass 1.0 to integrate the reservoir exactly as given.
+    band is (omega_lo, omega_hi) in rad/s.  method is ``rk4`` or
+    ``exact_diagonalization``; both sum the exact propagator as a Chebyshev
+    series and take no time step (``rk4`` is the name of the fixed-step
+    integrator the series replaced).  coupling_scale = None rescales the
+    couplings automatically into the perturbative regime; pass 1.0 to
+    integrate the reservoir exactly as given.
     """
 
     n_modes: int = 10_000
     band: tuple[float, float] | None = None
+    # validated, but selects nothing: both spellings run the series.
+    # benchmarks/ sends and checks both, so the field stays until that
+    # harness changes.
     method: str = METHOD_RK4
     coupling_scale: float | None = None
 
@@ -137,8 +96,6 @@ class OracleConfig:
             raise DomainError(f"n_modes must lie in [100, {_MAX_MODES}]")
         if self.method not in (METHOD_RK4, METHOD_ED):
             raise DomainError(f"method must be '{METHOD_RK4}' or '{METHOD_ED}'")
-        if self.method == METHOD_ED and self.n_modes > _ED_MAX_MODES:
-            raise DomainError(_ED_TOO_LARGE)
         if self.band is not None:
             lo, hi = self.band
             if not 0.0 <= lo < hi < math.inf:
@@ -160,8 +117,8 @@ class DiscretizedModes(NamedTuple):
 
 
 class SurvivalResult(NamedTuple):
-    """P(tau) and a bound on its integration error: ED's departure of the
-    weights' sum from 1, or the series' truncated tail."""
+    """P(tau) and a bound on its integration error, the series' truncated
+    tail."""
 
     probability: float
     norm_drift: float
@@ -178,8 +135,11 @@ def discretize_reservoir(reservoir, cfg: OracleConfig) -> DiscretizedModes:
     lo, hi = cfg.band
     d_omega = (hi - lo) / cfg.n_modes
     omega = lo + (np.arange(cfg.n_modes) + 0.5) * d_omega
-    # a callable may return one value for all frequencies, as a flat spectrum can
-    vals = np.broadcast_to(np.asarray(reservoir(omega), dtype=float), omega.shape)
+    # a callable may return one value for all frequencies, as a flat
+    # spectrum can; an R that overflows far above omega0 (nu near 1e300)
+    # is refused by the check below, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.broadcast_to(np.asarray(reservoir(omega), dtype=float), omega.shape)
     if not (np.all(np.isfinite(vals)) and np.all(vals >= 0)):
         raise DomainError("reservoir must be finite and non-negative on the band")
     return DiscretizedModes(omega=omega, g=np.sqrt(vals * d_omega))
@@ -324,8 +284,7 @@ def _arrowhead_moments(delta: np.ndarray, g: np.ndarray, center: float, radius: 
 def _survival_series(modes: DiscretizedModes, omega0: float, tau: float) -> SurvivalResult:
     delta = modes.omega - omega0
     # e^(-iH tau) e_0, summed as a Chebyshev series in H without
-    # eigenvalues, so that this route stays independent of the secular
-    # solver.  H's spectrum lies within the coupling norm of
+    # eigenvalues.  H's spectrum lies within the coupling norm of
     # [min(0, delta), max(0, delta)]; mapped onto [-1, 1],
     # a = sum_k c_k mu_k with the coefficients c_k of _propagator_series and
     # the moments mu_k = T_k(s) + nu_k of _arrowhead_moments, which steps no
@@ -344,303 +303,6 @@ def _survival_series(modes: DiscretizedModes, omega0: float, tau: float) -> Surv
                           norm_drift=float(np.abs(series[-4:]).sum()))
 
 
-def _secular_sums(anchor: np.ndarray, mu: np.ndarray, poles: np.ndarray,
-                  z2: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """psi = sum z2_k t_k and phi = sum z2_k t_k^2 over k != anchor.
-
-    t_k = 1 / ((poles[anchor] - poles[k]) + mu): the pole differences are
-    taken before the offset is added, so a root within rounding of its
-    anchor pole keeps an accurate distance to every other pole.
-    """
-    t = work[:len(mu)]
-    np.copyto(t, poles[anchor][:, None])
-    t -= poles
-    t += mu[:, None]
-    np.reciprocal(t, out=t)
-    t[np.arange(len(mu)), anchor] = 0.0
-    psi = t @ z2
-    np.square(t, out=t)
-    return psi, t @ z2
-
-
-def _newton_terms(pole, w, mu, psi, phi):
-    """G(mu) = mu F(pole + mu), G'(mu) and F'(pole + mu), where F's anchor
-    term w / mu is written out and psi and phi sum the other poles."""
-    lam = pole + mu
-    return mu * (lam - psi) - w, lam + mu - psi + mu * phi, 1.0 + phi + w / mu ** 2
-
-
-def _newton(anchor, mu, g, dg, df, poles, z2, sums):
-    """Newton's method on G(mu) = mu F(poles[anchor] + mu) for each root.
-
-    Each mu starts on the far side of its root, with G, G' and F' there in
-    g, dg and df; sums(i, mu) returns psi and phi of the roots i.  Returns
-    the offsets of the roots from their anchors, F' at each, and the
-    indices of the roots still unconverged after ``_SECULAR_MAX_ITER``
-    steps.
-    """
-    offset = np.empty(len(mu))
-    slope = np.empty(len(mu))
-    i = np.arange(len(mu))
-    for _ in range(_SECULAR_MAX_ITER):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = g / dg
-        # G <= 0 on the far side can only be rounding: the root is reached
-        done = (g <= 0) | (np.abs(step) <= 4.0 * _EPS * np.abs(mu))
-        offset[i[done]] = np.where(g > 0, mu - step, mu)[done]
-        slope[i[done]] = df[done]
-        if done.all():
-            return offset, slope, i[:0]
-        busy = ~done
-        i, mu, step = i[busy], mu[busy], step[busy]
-        # the step must land strictly between the anchor and mu
-        shrink = (mu - step) / mu
-        mu = np.where((shrink > 0) & (shrink < 1), mu - step, 0.5 * mu)
-        a = anchor[i]
-        g, dg, df = _newton_terms(poles[a], z2[a], mu, *sums(i, mu))
-    return offset, slope, i
-
-
-def _secular_block(j: np.ndarray, poles: np.ndarray, z2: np.ndarray, start: np.ndarray,
-                   vals: np.ndarray, weights: np.ndarray, work: np.ndarray) -> None:
-    """Solve the roots j by direct sums, writing them to vals and weights.
-
-    ``work`` holds a row of pole terms for each root of j.
-    """
-    m = len(poles)
-    # F at the start points, through the left pole (the right one for j = 0)
-    a = np.maximum(j - 1, 0)
-    mu = start[j] - poles[a]
-    psi, phi = _secular_sums(a, mu, poles, z2, work)
-    f = start[j] - psi - z2[a] / mu
-    df = 1.0 + phi + z2[a] / mu ** 2
-    # anchor at the pole on the root's side of the start point
-    left = f > 0
-    left[j == 0], left[j == m] = False, True
-    a = np.where(left, j - 1, j)
-    mu = start[j] - poles[a]
-    offset, slope, busy = _newton(
-        a, mu, mu * f, f + mu * df, df, poles, z2,
-        lambda i, mu: _secular_sums(a[i], mu, poles, z2, work))
-    if len(busy):
-        raise NumericalError(
-            f"secular equation: {len(busy)} roots unconverged after "
-            f"{_SECULAR_MAX_ITER} Newton steps")
-    vals[j] = poles[a] + offset
-    weights[j] = 1.0 / slope
-
-
-def _lattice(poles: np.ndarray) -> float | None:
-    """The spacing h of ascending poles that all lie within ``_LATTICE_TOL``
-    eps * scale of poles[0] + k h, k = 0 .. len(poles) - 1; or None when
-    they are not so equally spaced."""
-    m = len(poles)
-    h = (poles[-1] - poles[0]) / max(m - 1, 1)
-    tol = _LATTICE_TOL * _EPS * max(abs(poles[0]), abs(poles[-1]))
-    return h if m > 1 and np.all(np.abs(poles[0] + np.arange(m) * h - poles) <= tol) else None
-
-
-def _lattice_moments(poles: np.ndarray, z2: np.ndarray, h: float) -> np.ndarray:
-    """The moments of ``_moments`` for poles spaced h apart (``_lattice``).
-
-    S_p(a) = sum over lags j of z2(a - j) K_p(j), K_p(j) = (j h)^-(p+1) and
-    K_p(0) = 0: a linear convolution, taken for every p by one FFT of z2,
-    one of the kernels and one inverse.  The ``_LATTICE_NEAR`` nearest lags
-    on each side are left out of the kernels and summed directly over the
-    poles' own differences.  The FFT's rounding is on the scale of the
-    largest couplings, so where the couplings are weak it may still leave
-    S_(P+1), which the series certificate reads, too far off.  Each of the
-    three transforms adds about 6.7 eps log2(size) of its input's norm
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    ch. 24), so 20 eps log2(size) |z2|_2 |K_(P+1)|_1 bounds it (the errors
-    measured at the oracle's weakly coupled poles stay below 3% of that),
-    and it must stay below ``_LATTICE_RTOL`` S_(P+1).  The rows of the
-    poles where it does not are NaN.
-    """
-    m = len(poles)
-    size = 1 << (2 * m - 1).bit_length()
-    powers = np.arange(1, _SERIES_ORDER + 3)[:, None]
-    kernels = np.zeros((len(powers), size))
-    kernels[:, _LATTICE_NEAR + 1:m] = np.arange(_LATTICE_NEAR + 1.0, m) ** -powers
-    # K_p(-j) = (-1)^(p+1) K_p(j)
-    kernels[:, size - m + 1:size - _LATTICE_NEAR] = (
-        kernels[:, m - 1:_LATTICE_NEAR:-1] * (-1.0) ** powers)
-    far = np.fft.irfft(np.fft.rfft(kernels) * np.fft.rfft(z2, size), size)[:, :m]
-    near = np.zeros((len(powers), m))
-    # a close pair of poles may overflow the high powers: its roots then go direct
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, min(_LATTICE_NEAR, m - 1) + 1):
-            # 1 / (pole i + j - pole i), then its powers
-            inv = 1.0 / (poles[j:] - poles[:-j])
-            power = inv.copy()
-            for p in range(len(powers)):
-                near[p, j:] += z2[:-j] * power
-                near[p, :-j] += z2[j:] * (power if p % 2 else -power)
-                power *= inv
-        scale = h ** -powers
-        s = (far * scale + near).T
-        bound = (20.0 * _EPS * math.log2(size) * np.linalg.norm(z2)
-                 * np.abs(kernels[-1]).sum() * scale[-1, 0])
-        s[~(bound <= _LATTICE_RTOL * s[:, -1])] = np.nan
-    return s
-
-
-def _moments(poles: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """s[a, p] = sum over k != a of z2_k / (poles[a] - poles[k])^(p+1),
-    p = 0 .. P + 1, for every pole a.
-
-    On equally spaced poles they come from one FFT convolution
-    (``_lattice_moments``), in O(n log n); otherwise (a grid with holes
-    included) every row is NaN, as are the rows whose FFT rounding bound
-    is too loose, and the roots of those poles go to direct sums.
-    """
-    h = _lattice(poles)
-    if h is None:
-        return np.full((len(poles), _SERIES_ORDER + 2), np.nan)
-    return _lattice_moments(poles, z2, h)
-
-
-def _series_roots(poles: np.ndarray, z2: np.ndarray, s: np.ndarray, vals: np.ndarray,
-                  weights: np.ndarray) -> np.ndarray:
-    """Solve the roots that a pole's local series certifies; return the others.
-
-    Near pole a, F(poles[a] + mu) = poles[a] + mu - z2_a / mu - psi(mu),
-    where psi(mu) = sum_p (-mu)^p S_p(a) and phi = -psi' =
-    sum_p (p + 1) (-mu)^p S_(p+1)(a), both cut at p = P = ``_SERIES_ORDER``,
-    with the moments S = s of ``_moments``.
-
-    Pole a owns the root on its right when c_a = poles[a] - S_0(a) > 0,
-    and the one on its left when c_a < 0.  ``_newton`` solves it from
-    mu = z2_a / c_a, where G > 0, if there the series converges: if
-    |mu| < near, the distance to the nearest other pole.  The root is
-    accepted when its interval has no other owner, mu lies on the owned
-    side, rho = |mu| / near < 1, and the terms cut off psi and phi are
-    below eps times psi and phi.  With P even, S_(P+1) sums positive
-    terms, so |mu|^(P+1) S_(P+1) / (1 - rho) bounds those of psi, and
-    (P + 2) / (near (1 - rho)) times that bound those of phi.
-
-    Returns the indices of every root not accepted, in ascending order.
-    """
-    m = len(poles)
-    order = s.shape[1] - 2
-    gaps = np.diff(poles)
-    near = np.minimum(np.concatenate(([np.inf], gaps)), np.concatenate((gaps, [np.inf])))
-    c = poles - s[:, 0]
-    # a non-finite value fails the tests below, and its root goes direct
-    with np.errstate(all="ignore"):
-        mu = z2 / c
-        # the iterates fall from mu towards the anchor, so they stay where
-        # the series converges
-        a = np.flatnonzero((np.abs(mu) < near) & np.isfinite(s).all(axis=1))
-        psi_coef = s[a, :-1].T
-        phi_coef = s[a, 1:].T * np.arange(1, order + 2)[:, None]
-
-        def sums(i, mu):
-            return (polyval(-mu, psi_coef[:, i], tensor=False),
-                    polyval(-mu, phi_coef[:, i], tensor=False))
-
-        mu = mu[a]
-        offset, slope, busy = _newton(
-            a, mu, *_newton_terms(poles[a], z2[a], mu, *sums(slice(None), mu)),
-            poles, z2, sums)
-        psi, phi = sums(slice(None), offset)
-        rho = np.abs(offset) / near[a]
-        tail = np.abs(offset) ** (order + 1) * s[a, -1] / (1.0 - rho)
-        ok = ((offset * c[a] > 0) & (rho < 1.0) & (tail <= _EPS * np.abs(psi))
-              & ((order + 2) * tail / (near[a] * (1.0 - rho)) <= _EPS * phi))
-    ok[busy] = False
-    j = a + (c[a] > 0)
-    owners = np.bincount(np.flatnonzero(c > 0) + 1, minlength=m + 1)
-    owners += np.bincount(np.flatnonzero(c < 0), minlength=m + 1)
-    ok &= owners[j] == 1
-    vals[j[ok]] = poles[a[ok]] + offset[ok]
-    weights[j[ok]] = 1.0 / slope[ok]
-    # m poles own at most m of the m + 1 intervals, so at least one root is left
-    direct = np.ones(m + 1, dtype=bool)
-    direct[j[ok]] = False
-    return np.flatnonzero(direct)
-
-
-def _secular_roots(poles: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of F(lam) = lam - sum z2_k / (lam - poles_k) and weights 1 / F'(lam).
-
-    The poles are ascending and distinct, every z2_k > 0.  Root j lies
-    alone in (poles[j-1], poles[j]); the outer two lie within the coupling
-    norm of the outer poles or of 0.  Each root is held as an anchor pole
-    plus an offset mu and found by Newton's method on G(mu) = mu F(lam),
-    which is convex on the root's interval, negative next to the anchor and
-    positive on the far side.  Started on the far side, the iterates fall
-    monotonically onto the root, so a step that would leave the bracket
-    (anchor, mu) can only come from rounding and halves mu instead.
-
-    On equally spaced poles one FFT convolution forms every pole's moments
-    in O(n log n) (``_moments``), and each weakly coupled root, one that
-    hugs its pole, is solved from its pole's series (``_series_roots``).
-    The rest (the roots near the atom's level, intervals owned twice or
-    not at all, any root the series cannot certify, and every root unless
-    the poles are equally spaced) are solved by direct O(n) sums per
-    Newton step (``_secular_block``), from the midpoints of their
-    intervals (the outer ends for the outer two), in blocks of
-    ``_BLOCK_BYTES`` of work.
-    """
-    m = len(poles)
-    vals = np.empty(m + 1)
-    weights = np.empty(m + 1)
-    direct = _series_roots(poles, z2, _moments(poles, z2), vals, weights)
-    norm = math.sqrt(float(z2.sum()))
-    lo = np.concatenate(([min(0.0, poles[0]) - norm], poles))
-    hi = np.concatenate((poles, [max(0.0, poles[-1]) + norm]))
-    start = 0.5 * (lo + hi)
-    start[0], start[-1] = lo[0], hi[-1]
-    rows = max(2, _BLOCK_BYTES // (8 * m))
-    work = np.empty((min(rows, len(direct)), m))
-    for first in range(0, len(direct), rows):
-        _secular_block(direct[first:first + rows], poles, z2, start, vals, weights, work)
-    return vals, weights
-
-
-def _arrowhead_eigensystem(modes: DiscretizedModes, omega0: float):
-    """Eigenvalues of the arrowhead Hamiltonian and their weights on the atom.
-
-    H = [[0, g^T], [g, diag(omega - omega0)]].  Returns its n + 1
-    eigenvalues in ascending order and the squared first components of
-    their eigenvectors, 1 / (1 + sum g_k^2 / (lam - delta_k)^2).  Couplings
-    at or below eps * scale, and all but the first pole of a tie (which
-    takes the tie's whole coupling weight), leave their pole as an
-    eigenvalue of weight 0.  On a full uniform grid such as
-    ``discretize_reservoir``'s, one O(n log n) moments pass plus direct sums
-    for the few roots the series leave; off it, holes included, direct sums
-    for every root, in O(n^2) time.  O(n) memory, about 1 MB.
-    """
-    if len(modes.omega) > _ED_MAX_MODES:
-        raise DomainError(_ED_TOO_LARGE)
-    order = np.argsort(modes.omega, kind="stable")
-    delta = modes.omega[order] - omega0
-    g = np.abs(modes.g[order])
-    scale = max(float(np.max(np.abs(delta))), float(np.linalg.norm(g)))
-    tol = _EPS * scale
-    coupled = g > tol
-    d, z2 = delta[coupled], g[coupled] ** 2
-    tie_start = np.ones(len(d), dtype=bool)
-    tie_start[1:] = np.diff(d) > tol
-    dropped = np.concatenate((delta[~coupled], d[~tie_start]))
-    if len(d):
-        roots, weights = _secular_roots(d[tie_start],
-                                        np.add.reduceat(z2, np.flatnonzero(tie_start)))
-    else:
-        roots, weights = np.zeros(1), np.ones(1)
-    vals = np.concatenate((roots, dropped))
-    order = np.argsort(vals, kind="stable")
-    return vals[order], np.concatenate((weights, np.zeros(len(dropped))))[order]
-
-
-def _survival_ed(modes: DiscretizedModes, omega0: float, tau: float) -> SurvivalResult:
-    vals, weights = _arrowhead_eigensystem(modes, omega0)
-    amp = np.sum(weights * np.exp(-1j * vals * tau))
-    return SurvivalResult(probability=float(abs(amp) ** 2),
-                          norm_drift=abs(float(weights.sum()) - 1.0))
-
-
 def survival_probability(modes: DiscretizedModes, omega0: float, tau: float,
                          cfg: OracleConfig) -> SurvivalResult:
     """Excited-state survival probability after one interval tau.
@@ -649,6 +311,9 @@ def survival_probability(modes: DiscretizedModes, omega0: float, tau: float,
     2 pi / d_omega, beyond which the mode comb rephases and the dynamics
     is a discretization artifact.
     """
+    # cfg is not read: both method spellings run the series.
+    # benchmarks/spans.py binds cfg by name and reads cfg.method in traced
+    # runs, so the argument stays until that file changes.
     if tau <= 0:
         raise DomainError("tau must be positive")
     if len(modes.omega) < 2 or np.ptp(modes.omega) == 0.0:
@@ -660,8 +325,6 @@ def survival_probability(modes: DiscretizedModes, omega0: float, tau: float,
         raise DomainError(
             f"tau={tau:g} is too long for the mode spacing: recurrence time "
             f"{recurrence:g} must exceed 10*tau; increase n_modes or shrink the band")
-    if cfg.method == METHOD_ED:
-        return _survival_ed(modes, omega0, tau)
     return _survival_series(modes, omega0, tau)
 
 
@@ -695,6 +358,9 @@ def _with_band(cfg: OracleConfig | None, omega0: float, nu: float) -> OracleConf
     """
     if cfg is None:
         cfg = OracleConfig()
+    if not math.isfinite(omega0 + BAND_COVERAGE * nu):
+        raise DomainError(f"measurement rate nu={nu!r} is too large: the band "
+                          f"omega0 +- {BAND_COVERAGE:g} nu must be finite")
     required = (max(0.0, omega0 - BAND_COVERAGE * nu), omega0 + BAND_COVERAGE * nu)
     band = required if cfg.band is None else cfg.band
     if band[0] > required[0] + 1e-12 * omega0 or band[1] < required[1] - 1e-12 * omega0:

@@ -574,6 +574,11 @@ def test_oracle_command(capsys):
     assert doc["rel_difference"] < 0.03
     assert doc["ratio_quadrature"] > 1.0
     assert doc["method"] == "rk4"
+    # the other spelling runs the same series and is echoed as given
+    code, out, _ = run_cli(capsys, "oracle", "--nu", "3e-2", "--n-modes", "2000",
+                           "--method", "exact_diagonalization")
+    assert code == 0
+    assert json.loads(out) == {**doc, "method": "exact_diagonalization"}
 
 
 @pytest.mark.parametrize("nu", ["1e-300", "1e-16", "3e-16", "1e-14"])
@@ -585,6 +590,20 @@ def test_oracle_rejects_a_nu_too_small_for_its_band(capsys, nu):
     code, out, err = run_cli(capsys, "oracle", "--nu", nu)
     assert code == 2 and out == ""
     assert err.startswith(f"error: measurement rate nu={float(nu)!r} is too small"), err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("nu, message", [
+    # the band's top is finite, but R overflows on it
+    pytest.param("1e300", "reservoir must be finite and non-negative on the band",
+                 id="1e300"),
+    # omega0 + 1e3 nu overflows: the error names nu, not the band built from it
+    pytest.param("1e306", "measurement rate nu=1e+306 is too large", id="1e306"),
+])
+def test_oracle_rejects_a_nu_too_large_for_its_band(capsys, nu, message):
+    code, out, err = run_cli(capsys, "oracle", "--nu", nu)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}"), err
 
 
 def test_oracle_rejects_a_vanishing_free_rate(capsys):

@@ -5,15 +5,18 @@ preceded the cached-node, one-reservoir-call evaluation.  The CSV files
 keep 9 significant digits; ``quadrature.json`` keeps every bit of
 ``ratio`` and ``err_estimate``.  Any change to either is a regression.
 
-``oracle_ed.json`` was written by the dense-``eigh`` exact diagonalization
-that preceded the secular-equation solver, at the desk-scale points of the
-oracle benchmark.  ``oracle_rk4.json`` was re-recorded at the same points
-(``python tests/test_golden.py oracle_rk4``) when the ``rk4`` route came to
-sum the exact propagator in place of RK4's n-step polynomial; its ratios
-moved by -7e-10 to -2.0e-7, RK4's own time-step error, and each now lies
-within 1e-11 of exact diagonalization at the same 10^4 modes.  The
-quadrature fields of both files must match bit for bit; the oracle ratio,
-to 1e-10.
+``oracle_ed.json`` was written by dense-``eigh`` exact diagonalization at
+2000 modes, at the desk-scale points of the oracle benchmark.  The oracle
+no longer diagonalizes: both its ``method`` spellings sum the propagator
+series, so this file is the series' dense-``eigh`` reference at 2000
+modes, run under the ``exact_diagonalization`` spelling, and the package
+cannot re-record it.  ``oracle_rk4.json`` was re-recorded at the same
+points at 10^4 modes (``python tests/test_golden.py oracle_rk4``) when the
+``rk4`` route came to sum the exact propagator in place of RK4's n-step
+polynomial; its ratios moved by -7e-10 to -2.0e-7, RK4's own time-step
+error, and each lay within 1e-11 of exact diagonalization at the same 10^4
+modes.  The quadrature fields of both files must match bit for bit; the
+oracle ratio, to 1e-10.
 
 The quadrature of a band-limited reservoir now ends the far-field walk on
 the last lobe multiple below the band edge and integrates the partial lobe
@@ -67,7 +70,7 @@ against it on every CPU and on one.
 
 To record a golden JSON file from a source tree, put that tree's ``src``
 first on ``PYTHONPATH`` and run ``python tests/test_golden.py quadrature``
-(or ``quadrature-grid``, ``oracle_ed`` or ``oracle_rk4``).
+(or ``quadrature-grid`` or ``oracle_rk4``).
 """
 
 import contextlib
@@ -279,8 +282,8 @@ def test_quadrature_reproduces_the_golden_grid_exactly(name, config):
     assert _record_grid(name, config) == want[f"{name}/{config}"]
 
 
-# The oracle benchmark's points: desk-scale reservoir, ED at 2000 modes and
-# RK4 at 10^4 modes.
+# The oracle benchmark's points: desk-scale reservoir, the series at 2000
+# modes under the exact_diagonalization spelling and at 10^4 under rk4.
 ORACLE_POINTS = [(eta, nu) for eta in (1, 3) for nu in (1e-2, 3e-2)]
 ORACLE_CONFIGS = {
     "oracle_ed": OracleConfig(n_modes=2000, method="exact_diagonalization"),
@@ -326,8 +329,8 @@ if __name__ == "__main__":
     if sys.argv[1:] == ["quadrature-grid"]:
         doc = {f"{name}/{config}": _record_grid(name, config)
                for name in GRID_RESERVOIRS for config in GRID_CONFIGS}
-    elif sys.argv[1:] and sys.argv[1] in ORACLE_CONFIGS:
-        doc = [_record_oracle(sys.argv[1], eta, nu) for eta, nu in ORACLE_POINTS]
+    elif sys.argv[1:] == ["oracle_rk4"]:
+        doc = [_record_oracle("oracle_rk4", eta, nu) for eta, nu in ORACLE_POINTS]
     else:
         doc = {name: _record(name) for name in QUADRATURE_CASES}
     json.dump(doc, sys.stdout, indent=1)
