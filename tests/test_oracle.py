@@ -109,9 +109,10 @@ def test_discretize_requires_band():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_discretize_rejects_non_finite_reservoir(bad):
+@pytest.mark.parametrize("method", ["rk4", "exact_diagonalization"])
+def test_discretize_rejects_non_finite_reservoir(method, bad):
     # refused where the modes are built, not as a failure once the series
-    # is summed
+    # is summed; both method spellings run the series
     r = _desk_reservoir(3)
 
     def spoiled(w):
@@ -119,7 +120,7 @@ def test_discretize_rejects_non_finite_reservoir(bad):
 
     with pytest.raises(DomainError, match="finite"):
         oracle_rate(spoiled, 1.0, MeasurementSchedule(nu=1e-2),
-                    OracleConfig(n_modes=2000))
+                    OracleConfig(n_modes=2000, method=method))
 
 
 def test_mode_limits_fail_when_the_config_is_built():
@@ -204,8 +205,10 @@ def test_survival_recurrence_guard():
         survival_probability(tied, 1.0, 1.0, cfg)
 
 
-def test_survival_does_not_depend_on_mode_order():
-    cfg = OracleConfig(n_modes=2000, band=(0.5, 1.5))
+@pytest.mark.parametrize("method", ["rk4", "exact_diagonalization"])
+def test_survival_does_not_depend_on_mode_order(method):
+    # both method spellings run the series
+    cfg = OracleConfig(n_modes=2000, band=(0.5, 1.5), method=method)
     modes = discretize_reservoir(_desk_reservoir(3, d=3e-3), cfg)
     reversed_modes = DiscretizedModes(omega=modes.omega[::-1], g=modes.g[::-1])
     want = survival_probability(modes, 1.0, 30.0, cfg).probability
@@ -228,20 +231,27 @@ def _dense_survival(modes, omega0, tau):
     return abs(np.sum(vecs[0] ** 2 * np.exp(-1j * vals * tau))) ** 2
 
 
-@pytest.mark.parametrize("timing", ["tau-30", "tau-10", "width-0.05", "width-0.465",
-                                    "width-0.495", "width-0.525", "width-0.555"])
+@pytest.mark.parametrize("timing", ["stability", "explicit-dt", "four-step-floor",
+                                    "remainder-0", "remainder-1", "remainder-2",
+                                    "remainder-3"])
 @pytest.mark.parametrize("seed", range(4))
-def test_series_matches_dense_eigh(seed, timing):
-    # unsorted poles, signed couplings and about a third of them zero.  Each
-    # id names tau, or tau in units of 1 / max|delta|, down to z = radius * tau
-    # below 0.05, where the series is at its shortest.
+def test_rk4_matches_stagewise_loop(seed, timing):
+    # unsorted poles, signed couplings and about a third of them zero,
+    # against dense eigh.  The ids name the intervals at which a
+    # stage-by-stage RK4 loop once checked this route, in units of its step
+    # bound 0.1 / max|delta|: hundreds of steps, half a step (z below 0.05,
+    # where the series is at its shortest), and 16 to 19 steps of 0.3 of
+    # the bound.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 301))
     omega = rng.uniform(0.0, 3.0, n)
     g = rng.uniform(-3e-2, 3e-2, n) * (rng.uniform(size=n) > 0.3)
     modes, omega0 = DiscretizedModes(omega=omega, g=g), float(rng.uniform(0.5, 2.5))
-    unit, value = timing.split("-")
-    tau = float(value) / (np.max(np.abs(omega - omega0)) if unit == "width" else 1.0)
+    bound = 0.1 / np.max(np.abs(omega - omega0))
+    tau = {"stability": 30.0,
+           "explicit-dt": 10.0,
+           "four-step-floor": 0.5 * bound,
+           **{f"remainder-{r}": (15.5 + r) * 0.3 * bound for r in range(4)}}[timing]
     want = _dense_survival(modes, omega0, tau)
     res = _survival_series(modes, omega0, tau)
     assert res.probability == pytest.approx(want, rel=0, abs=1e-12)
@@ -466,8 +476,10 @@ def test_oracle_rate_probability_guard():
                     OracleConfig(n_modes=4000, coupling_scale=1.0))
 
 
-def test_oracle_rate_rejects_a_vanishing_free_rate_before_integrating():
-    # R vanishes at omega0 (here everywhere): only R(omega0) is ever evaluated
+@pytest.mark.parametrize("method", ["rk4", "exact_diagonalization"])
+def test_oracle_rate_rejects_a_vanishing_free_rate_before_integrating(method):
+    # R vanishes at omega0 (here everywhere): only R(omega0) is ever
+    # evaluated, under either method spelling
     inner = _desk_reservoir(3)
     calls = []
 
@@ -477,7 +489,7 @@ def test_oracle_rate_rejects_a_vanishing_free_rate_before_integrating():
 
     with pytest.raises(DomainError, match="free rate vanishes"):
         oracle_rate(reservoir, 1.0, MeasurementSchedule(nu=1e-2),
-                    OracleConfig(n_modes=2000))
+                    OracleConfig(n_modes=2000, method=method))
     assert calls == [0]
 
 
