@@ -10,13 +10,17 @@ interval determines the rate: Gamma = -ln P(tau) / tau.
 
 The amplitude is the exact propagator e^(-iH tau) e_0, summed as a
 Chebyshev series in H (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
-(1984)), with no time step and no eigenvalues.  Its moments eliminate the
-modes exactly: the modes' own Chebyshev moments, by baby and giant steps
-and one matrix product per chunk of modes, then a scalar Toeplitz solve
-for the atom's (about 2 ms at 2000 modes and 3-5 ms at 10^4 on a 2-core
-Xeon).  Everything runs on the calling thread.  The tests check it
-against dense diagonalization of the arrowhead and against the g^2 sum of
-perturbation theory.
+(1984)), with no time step and no eigenvalues.  The series stops where a
+bound on the Bessel coefficients it leaves out falls below 1e-17.  Its
+moments eliminate the modes exactly: the modes' own Chebyshev moments, by
+baby and giant steps and one matrix product per chunk of modes, then a
+scalar Toeplitz solve for the atom's.  The oracle's mode grids are
+mirror-symmetric about the spectrum's center, so each pair of mirrored
+modes folds into one node in 2 d^2 - 1, which halves the moments' work
+(about 0.6 ms at 2000 modes and 1.5 ms at 10^4 on a 2-core Xeon).
+Everything runs on the calling thread.  The tests check it against dense
+diagonalization of the arrowhead, against the unfolded moments and
+against the g^2 sum of perturbation theory.
 
 Because the modified/free rate ratio is coupling-independent in the
 perturbative regime that the rate formula describes, the rate extraction
@@ -57,6 +61,8 @@ BAND_COVERAGE = 1e3
 # (_mode_moments), and the rows of _toeplitz_solve's diagonal block.
 _CHUNK_BYTES = 1 << 19
 _TOEPLITZ_BLOCK = 64
+# The bound on the coefficients the series leaves out (_series_cut).
+_SERIES_TAIL = 1e-17
 # The series holds the chunk budget above plus O(n_modes) inputs.
 _MAX_MODES = 1_000_000
 
@@ -145,73 +151,192 @@ def discretize_reservoir(reservoir, cfg: OracleConfig) -> DiscretizedModes:
     return DiscretizedModes(omega=omega, g=np.sqrt(vals * d_omega))
 
 
-def _propagator_series(tau: float, center: float, radius: float) -> np.ndarray:
-    """Chebyshev coefficients in x = (lam - center) / radius of exp(-i lam tau).
+def _series_cut(z: float) -> tuple[int, float]:
+    """The order K of exp(-i z x)'s Chebyshev series, and its tail bound.
+
+    Coefficient k has modulus 2 |J_k(z)|, and for x = z / k <= 1,
+    |J_k(z)| <= exp(k (ln x + r - ln(1 + r))) with r = sqrt(1 - x^2)
+    (Kapteyn's inequality, DLMF 10.14.5).  K is the least order whose bound
+    on the terms left out, summed, is within ``_SERIES_TAIL``; that sum is
+    returned with it.  The computed coefficients cannot show this cut:
+    their rounding floor, about eps sqrt(z), lies far above it.
+    """
+    z = max(z, 1e-300)
+    k = np.arange(math.floor(z) + 1, math.ceil(z + 20.0 * z ** (1.0 / 3.0) + 60.0) + 1)
+    x = z / k
+    r = np.sqrt(1.0 - x * x)
+    # the bound falls off geometrically or faster past the range's end
+    tail = np.cumsum((2.0 * np.exp(k * (np.log(x) + r - np.log1p(r))))[::-1])[::-1]
+    first = int(np.argmax(tail <= _SERIES_TAIL))
+    return int(k[first]) - 1, float(tail[first])
+
+
+def _smooth(n: int) -> int:
+    """The least m >= n with no prime factor above 7."""
+    while True:
+        rest = n
+        for prime in (2, 3, 5, 7):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return n
+        n += 1
+
+
+def _propagator_series(tau: float, center: float, radius: float) -> tuple[np.ndarray, float]:
+    """Chebyshev coefficients in x = (lam - center) / radius of exp(-i lam tau),
+    and the bound on the amplitude of the terms left out.
 
     They are e^(-i center tau) (2 - [k = 0]) (-i)^k J_k(z), z = radius * tau,
-    which fall off past k = z; the series stops at K = z + 10 z^(1/3) + 40.
-    The samples' phases round at about eps * z, and so do the coefficients.
+    which fall off past k = z; the series stops where ``_series_cut`` puts
+    its tail bound.  The samples of exp(-i z x) are taken at the smooth
+    length n >= K that keeps the FFT fast, and their phases round at about
+    eps * z, as do the coefficients.
     """
-    z = radius * tau
-    order = math.ceil(z + 10.0 * z ** (1.0 / 3.0) + 40.0)
-    x = np.cos(math.pi * np.arange(order + 1) / order)
-    samples = np.exp(-1j * tau * (center + radius * x))
-    # samples at x_j = cos(pi j / K) to coefficients: a DCT-I, by FFT of the even extension
-    coef = np.fft.fft(np.concatenate((samples, samples[order - 1:0:-1])))[:order + 1] / order
-    coef[[0, order]] /= 2.0
-    return coef
+    order, tail = _series_cut(radius * tau)
+    n = _smooth(max(order, 1))
+    x = np.cos(math.pi * np.arange(n + 1) / n)
+    samples = np.exp(-1j * (radius * tau) * x)
+    # samples at x_j = cos(pi j / n) to coefficients: a DCT-I, by FFT of the even extension
+    coef = np.fft.fft(np.concatenate((samples, samples[n - 1:0:-1])))[:order + 1] / n
+    coef[0] /= 2.0
+    if order == n:
+        coef[n] /= 2.0
+    return coef * complex(math.cos(center * tau), -math.sin(center * tau)), tail
 
 
-def _mode_moments(delta: np.ndarray, g: np.ndarray, center: float, radius: float,
-                  count: int) -> np.ndarray:
-    """m_n = sum_j gamma_j^2 U_n(d_j), n = 0 .. count - 1, by baby and giant steps.
+def _mirror_pairs(delta: np.ndarray, g: np.ndarray, center: float, radius: float,
+                  grain: float, width: int, lone: list):
+    """The modes that mirror each other about center, folded: (y, a, b) in
+    chunks of at most width nodes.
 
-    d = (delta - center) / radius and gamma = g / radius are the modes'
-    entries and couplings in S.  With B = isqrt(count), the baby rows hold
-    2 T_i(d), i = 0 .. B, and the giant rows gamma^2 U_jB(d), advanced by
-    U_(j+1)B = 2 T_B U_jB - U_(j-1)B.  One product of the two gives
-    p[i, j] = m_(jB+i) + m_(jB-i), since 2 T_i U_n = U_(n+i) + U_(n-i), and
-    U_-1 = 0, U_-n = -U_(n-2) unfold it block by block.  Each chunk of modes
-    takes at most ``_CHUNK_BYTES`` of rows.
+    In S a mode has entry d = (delta - center) / radius and weight
+    w = (g / radius)^2.  Mode j and mode j' = N - 1 - j mirror each other
+    where |d_j + d_j'| <= grain / radius.  As U_n(-d) = (-1)^n U_n(d),
+    U_2k(d) = U_k(y) + U_(k-1)(y) and U_(2k+1)(d) = 2 d U_k(y) with
+    y = 2 d^2 - 1, such a pair is one node y = 2 d_j^2 - 1 with weights
+    a = w_j + w_j' for the even moments and b = 2 d_j (w_j - w_j') for the
+    odd; the middle mode of odd N, if it lies at center, is its own mirror
+    (a = w, b = 2 d w).  The grids the oracle builds are mirror-symmetric
+    about the band's midpoint, so their N modes fold into ceil(N / 2) nodes.
+    The indices of the modes left unpaired are appended to lone.
     """
-    baby = math.isqrt(count)
-    giant = -(-count // baby)
-    chunk = max(1, _CHUNK_BYTES // (8 * (baby + 1 + giant)))
-    width = min(chunk, len(delta))
-    rows, steps = np.empty((baby + 1) * width), np.empty(giant * width)
-    p = np.zeros((baby + 1, giant))
-    for first in range(0, len(delta), chunk):
-        size = min(chunk, len(delta) - first)
-        # contiguous views, so that the product below runs in BLAS
-        t = rows[:(baby + 1) * size].reshape(baby + 1, size)
-        u = steps[:giant * size].reshape(giant, size)
-        t[0] = 2.0
-        np.subtract(delta[first:first + chunk], center, out=t[1])
-        t[1] *= 2.0 / radius
-        for i in range(1, baby):
-            np.multiply(t[1], t[i], out=t[i + 1])
-            t[i + 1] -= t[i - 1]
-        np.divide(g[first:first + chunk], radius, out=u[0])
-        np.square(u[0], out=u[0])
-        if giant > 1:
-            # U_B = 2 T_B + 2 T_(B-2) + ..., down to 2 T_1 or T_0
-            np.sum(t[baby:0:-2], axis=0, out=u[1])
-            if baby % 2 == 0:
-                u[1] += 1.0
-            u[1] *= u[0]
-        for j in range(1, giant - 1):
-            np.multiply(t[baby], u[j], out=u[j + 1])
-            u[j + 1] -= u[j - 1]
-        p += t @ u.T
+    n = len(delta)
+    lower = (n + 1) // 2
+    back_delta, back_g = delta[::-1], g[::-1]
+    for first in range(0, lower, width):
+        last = min(first + width, lower)
+        d = (delta[first:last] - center) / radius
+        paired = np.abs(d + (back_delta[first:last] - center) / radius) <= grain / radius
+        w = np.square(g[first:last] / radius)
+        v = np.square(back_g[first:last] / radius)
+        if last > n // 2:
+            # odd N: the middle mode is its own mirror
+            v[-1] = 0.0
+        if not paired.all():
+            alone = first + np.flatnonzero(~paired)
+            lone.append(alone)
+            lone.append(n - 1 - alone[alone < n // 2])
+            d, w, v = d[paired], w[paired], v[paired]
+        if len(d):
+            yield 2.0 * d * d - 1.0, w + v, 2.0 * d * (w - v)
+
+
+def _unfold(p: np.ndarray, baby: int) -> np.ndarray:
+    """The moments M_n, n < baby * giant, from p[i, j] = M_(jB+i) + M_(jB-i).
+
+    U_-1 = 0 and U_-n = -U_(n-2) unfold p block by block.
+    """
+    giant = p.shape[1]
     m = np.empty(giant * baby)
     m[::baby] = 0.5 * p[0]
-    # the first block reflects off n = -1: m_i = p[i, 0] + m_(i-2)
+    # the first block reflects off n = -1: M_i = p[i, 0] + M_(i-2)
     m[1:baby:2] = np.cumsum(p[1:baby:2, 0])
     m[2:baby:2] = np.cumsum(p[2:baby:2, 0]) + m[0]
     for j in range(1, giant):
         at = j * baby
         m[at + 1:at + baby] = p[1:baby, j] - m[at - 1:at - baby:-1]
-    return m[:count]
+    return m
+
+
+def _u_moments(chunks, nodes: int, count: int, sets: int) -> list[np.ndarray]:
+    """M_s[n] = sum_j w_sj U_n(x_j), n = 0 .. count - 1, for each of sets
+    weight vectors w_s, by baby and giant steps.
+
+    chunks(width) yields the nodes as (x, w_0, .., w_(sets-1)), at most
+    width and nodes in all.  With B = isqrt(sets count), the baby rows hold
+    2 T_i(x), i = 0 .. B, and the giant rows w_s U_jB(x), advanced by
+    U_(j+1)B = 2 T_B U_jB - U_(j-1)B.  One product of the two gives
+    p[i, j] = M_(jB+i) + M_(jB-i) for each set, since
+    2 T_i U_n = U_(n+i) + U_(n-i).  Each chunk of nodes takes at most
+    ``_CHUNK_BYTES`` of rows.
+    """
+    baby = math.isqrt(sets * count)
+    giant = -(-count // baby)
+    width = max(1, _CHUNK_BYTES // (8 * (baby + 1 + sets * giant)))
+    rows = np.empty((baby + 1) * min(width, nodes))
+    steps = np.empty(giant * sets * min(width, nodes))
+    p = np.zeros((baby + 1, giant * sets))
+    for x, *weights in chunks(width):
+        size = len(x)
+        # contiguous views, so that the product below runs in BLAS; the
+        # giant rows of the sets interleave, and advance in one step.  The
+        # loops index lists of row views, which numpy would build anew
+        # at each step.
+        baby_rows = rows[:(baby + 1) * size].reshape(baby + 1, size)
+        giant_rows = steps[:giant * sets * size].reshape(giant, sets, size)
+        t, u = list(baby_rows), list(giant_rows)
+        t[0][:] = 2.0
+        np.multiply(x, 2.0, out=t[1])
+        for i in range(1, baby):
+            np.multiply(t[1], t[i], out=t[i + 1])
+            np.subtract(t[i + 1], t[i - 1], out=t[i + 1])
+        u[0][:] = weights
+        if giant > 1:
+            # U_B = 2 T_B + 2 T_(B-2) + ..., down to 2 T_1 or T_0
+            ub = np.sum(baby_rows[baby:0:-2], axis=0)
+            if baby % 2 == 0:
+                ub += 1.0
+            np.multiply(u[0], ub, out=u[1])
+        for j in range(1, giant - 1):
+            np.multiply(t[baby], u[j], out=u[j + 1])
+            np.subtract(u[j + 1], u[j - 1], out=u[j + 1])
+        p += baby_rows @ giant_rows.reshape(giant * sets, size).T
+    return [_unfold(p[:, s::sets], baby)[:count] for s in range(sets)]
+
+
+def _mode_moments(delta: np.ndarray, g: np.ndarray, center: float, radius: float,
+                  count: int, grain: float) -> np.ndarray:
+    """m_n = sum_j gamma_j^2 U_n(d_j), n = 0 .. count - 1.
+
+    d = (delta - center) / radius and gamma = g / radius are the modes'
+    entries and couplings in S.  The modes that mirror each other about
+    center within grain fold into one node each (``_mirror_pairs``), whose
+    sums E_k = sum a U_k(y) and O_k = sum b U_k(y), k < ceil(count / 2),
+    give m_2k = E_k + E_(k-1) and m_(2k+1) = O_k; that halves the nodes and
+    the work on a mirror-symmetric grid.  Every other mode adds its own
+    U_n(d) (``_u_moments``).
+    """
+    half = (count + 1) // 2
+    lone = []
+    even, odd = _u_moments(
+        lambda width: _mirror_pairs(delta, g, center, radius, grain, width, lone),
+        (len(delta) + 1) // 2, half, 2)
+    m = np.empty(2 * half)
+    m[0::2] = even
+    m[2::2] += even[:-1]
+    m[1::2] = odd
+    m = m[:count]
+    if lone:
+        at = np.concatenate(lone)
+
+        def alone(width):
+            for first in range(0, len(at), width):
+                part = at[first:first + width]
+                yield (delta[part] - center) / radius, np.square(g[part] / radius)
+
+        m += _u_moments(alone, len(at), count, 1)[0]
+    return m
 
 
 def _toeplitz_solve(col: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -247,7 +372,7 @@ def _toeplitz_solve(col: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _arrowhead_moments(delta: np.ndarray, g: np.ndarray, center: float, radius: float,
-                       order: int) -> np.ndarray:
+                       order: int, grain: float) -> np.ndarray:
     """nu_k = [T_k(S) e_0]_0 - T_k(s), k = 0..order, with S = (H - center) / radius.
 
     H = [[0, g^T], [g, diag(delta)]] and s = -center / radius is S's atom
@@ -258,49 +383,65 @@ def _arrowhead_moments(delta: np.ndarray, g: np.ndarray, center: float, radius: 
     recurrence: nu_0 = nu_1 = 0 and, with c_0 = 1 and c_i = 2 (nu_i + T_i(s)),
     nu_(k+1) = 2 s nu_k - nu_(k-1) + 2 sum_(i<k) m_(k-1-i) c_i,
     where m_n = sum_j gamma_j^2 U_n(d_j) are the modes' own moments
-    (``_mode_moments``).  That is a unit lower-triangular Toeplitz system
-    for nu_2 .. nu_order, with first column 1, -2 s, 1 - 4 m_0, -4 m_1, ...
-    and right side 2 m_(k-1) + 4 sum_(i>=1) m_(k-1-i) T_i(s).
+    (``_mode_moments``, which folds modes that mirror each other about
+    center within grain, the frequencies' rounding).  That is a unit
+    lower-triangular Toeplitz system for nu_2 .. nu_order, with first column
+    1, -2 s, 1 - 4 m_0, -4 m_1, ... and right side
+    2 m_(k-1) + 4 sum_(i>=1) m_(k-1-i) T_i(s).
     """
     nu = np.zeros(order + 1)
     n = order - 1
     if n < 1:
         return nu
     s = -center / radius
-    m = _mode_moments(delta, g, center, radius, n)
-    # 1 and 2 T_i(s), i = 1 .. n - 1
-    cheb = [2.0, 2.0 * s]
-    for _ in range(2, n):
-        cheb.append(2.0 * s * cheb[-1] - cheb[-2])
+    m = _mode_moments(delta, g, center, radius, n, grain)
+    # 1 and 2 T_i(s) = 2 (sign s)^i cos(i acos|s|), i = 1 .. n - 1, as
+    # |s| <= 1 (the interval holds 0); the angle is at most pi / 2, so i
+    # times it rounds less than i acos(s) would near s = -1
+    cheb = 2.0 * np.cos(np.arange(n) * math.acos(abs(s)))
+    if s < 0.0:
+        cheb[1::2] *= -1.0
     cheb[0] = 1.0
     col = np.zeros(max(n, 3))
     col[:3] = 1.0, -2.0 * s, 1.0
     col[2:] -= 4.0 * m[:len(col) - 2]
-    rhs = 2.0 * np.convolve(m, cheb[:n])[:n]
+    rhs = 2.0 * np.convolve(m, cheb)[:n]
     nu[2:] = _toeplitz_solve(col[:n], rhs)
     return nu
+
+
+def _spectrum_interval(delta: np.ndarray, g: np.ndarray,
+                       omega0: float) -> tuple[float, float, float]:
+    """center, radius and grain of the modes omega0 + delta with couplings g.
+
+    H's spectrum lies within the coupling norm of [min(0, delta),
+    max(0, delta)], the interval center +- radius.  grain is the
+    frequencies' rounding, 8 ulps of the largest |omega| it allows, within
+    which mirrored modes fold together.
+    """
+    norm = float(np.linalg.norm(g))
+    lo = min(0.0, float(delta.min())) - norm
+    hi = max(0.0, float(delta.max())) + norm
+    return (0.5 * (lo + hi), max(0.5 * (hi - lo), 1e-300),
+            8.0 * math.ulp(abs(omega0) + max(-lo, hi)))
 
 
 def _survival_series(modes: DiscretizedModes, omega0: float, tau: float) -> SurvivalResult:
     delta = modes.omega - omega0
     # e^(-iH tau) e_0, summed as a Chebyshev series in H without
-    # eigenvalues.  H's spectrum lies within the coupling norm of
-    # [min(0, delta), max(0, delta)]; mapped onto [-1, 1],
+    # eigenvalues.  With H's spectrum mapped onto [-1, 1],
     # a = sum_k c_k mu_k with the coefficients c_k of _propagator_series and
     # the moments mu_k = T_k(s) + nu_k of _arrowhead_moments, which steps no
     # mode vector: it eliminates the modes and solves for the atom's
     # moments from the modes' own, in O(n_modes K + K^2).  The bare atom's
     # part sum_k c_k T_k(s) is e^0 = 1, so a = 1 + sum_k c_k nu_k, whose
     # loss stays resolved however weak the coupling.  As |mu_k| <= 1, the
-    # last few |c_k| bound the terms cut off, and are norm_drift.
-    norm = float(np.linalg.norm(modes.g))
-    lo = min(0.0, float(delta.min())) - norm
-    hi = max(0.0, float(delta.max())) + norm
-    center, radius = 0.5 * (lo + hi), max(0.5 * (hi - lo), 1e-300)
-    series = _propagator_series(tau, center, radius)
-    amp = series @ _arrowhead_moments(delta, modes.g, center, radius, len(series) - 1)
-    return SurvivalResult(probability=float(abs(1.0 + amp) ** 2),
-                          norm_drift=float(np.abs(series[-4:]).sum()))
+    # bound on the coefficients left out bounds the terms cut off, and is
+    # norm_drift.
+    center, radius, grain = _spectrum_interval(delta, modes.g, omega0)
+    series, tail = _propagator_series(tau, center, radius)
+    amp = series @ _arrowhead_moments(delta, modes.g, center, radius, len(series) - 1, grain)
+    return SurvivalResult(probability=float(abs(1.0 + amp) ** 2), norm_drift=tail)
 
 
 def survival_probability(modes: DiscretizedModes, omega0: float, tau: float,

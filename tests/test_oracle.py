@@ -12,8 +12,12 @@ from zenoscope.errors import DomainError, NumericalError
 from zenoscope.oracle import (
     _arrowhead_moments,
     _auto_coupling_scale,
+    _mirror_pairs,
     _propagator_series,
+    _series_cut,
+    _spectrum_interval,
     _survival_series,
+    _with_band,
     BandLimitedReservoir,
     DiscretizedModes,
     OracleConfig,
@@ -268,17 +272,67 @@ def test_rk4_series_matches_the_propagator(seed):
     center, radius = 0.5 * (lo + hi), 0.5 * (hi - lo)
     for z in (1e-3, 0.7, 30.0, 600.0, 4000.0):
         tau = z / radius
-        coef = _propagator_series(tau, center, radius)
+        coef, _ = _propagator_series(tau, center, radius)
         x = rng.uniform(-1.0, 1.0, 200)
         want = np.exp(-1j * tau * (center + radius * x))
         got = np.polynomial.chebyshev.chebval(x, coef)
         assert np.max(np.abs(got - want)) <= 1e-13 + 8.0 * np.finfo(float).eps * z
 
 
+def _bessel_tail(z, order):
+    """2 sum_(k>order) |J_k(z)|, from J_k by Miller's backward recurrence,
+    normalized by J_0 + 2 sum J_2k = 1; it keeps the tail's relative
+    accuracy where the series' FFT rounds at eps sqrt(z)."""
+    top = order + 40 + int(z)
+    j = np.zeros(top + 2)
+    j[top] = 1e-300
+    for k in range(top, 0, -1):
+        j[k - 1] = 2.0 * k / z * j[k] - j[k + 1]
+        if abs(j[k - 1]) > 1e250:
+            j[k - 1:] *= 1e-250
+    j /= j[0] + 2.0 * j[2::2].sum()
+    return 2.0 * np.abs(j[order + 1:]).sum()
+
+
+@pytest.mark.parametrize("z", [1.0, 10.0, 100.0, 600.0, 3000.0, 1e4])
+def test_series_cut_bounds_the_coefficients_it_leaves_out(z):
+    # Kapteyn's bound on the tail holds, and lies below 1e-17
+    order, tail = _series_cut(z)
+    assert _bessel_tail(z, order) <= tail <= 1e-17
+    # over the oracle's range of z it trims the rule it replaced
+    if z <= 3000.0:
+        assert order < z + 10.0 * z ** (1.0 / 3.0) + 40.0
+
+
+@pytest.mark.parametrize("z", [1.0, 10.0, 100.0, 600.0, 3000.0, 1e4])
+def test_trimmed_series_matches_the_untrimmed(z):
+    # the series at its cut order against the order rule it replaced,
+    # K = ceil(z + 10 z^(1/3) + 40), from an FFT at that order, on 300
+    # mirror-symmetric modes: norm_drift, the bound on what the cut leaves
+    # out, within 1e-16, and P within 1e-13, or within eps z, the rounding
+    # of the samples' phases, which an FFT of another length moves P by
+    # (4.5e-13 at z = 1e4)
+    modes = discretize_reservoir(_desk_reservoir(3, d=1e-2),
+                                 OracleConfig(n_modes=300, band=(0.0, 3.0)))
+    delta = modes.omega - 1.0
+    center, radius, grain = _spectrum_interval(delta, modes.g, 1.0)
+    tau = z / radius
+    order = math.ceil(z + 10.0 * z ** (1.0 / 3.0) + 40.0)
+    samples = np.exp(-1j * tau * (center + radius * np.cos(math.pi * np.arange(order + 1) / order)))
+    coef = np.fft.fft(np.concatenate((samples, samples[order - 1:0:-1])))[:order + 1] / order
+    coef[[0, order]] /= 2.0
+    amp = coef @ _arrowhead_moments(delta, modes.g, center, radius, order, grain)
+    res = _survival_series(modes, 1.0, tau)
+    assert res.norm_drift <= 1e-16
+    assert res.probability == pytest.approx(abs(1.0 + amp) ** 2, rel=0,
+                                            abs=max(1e-13, np.finfo(float).eps * z))
+
+
 def _desk_modes(eta, nu, n_modes):
     """The oracle's modes at omega0 = 1, coupling scale applied, and tau."""
-    tau, band = 1.0 / nu, (0.0, 1.0 + 1e3 * nu)
-    modes = discretize_reservoir(_desk_reservoir(eta), OracleConfig(n_modes=n_modes, band=band))
+    tau = 1.0 / nu
+    modes = discretize_reservoir(_desk_reservoir(eta),
+                                 _with_band(OracleConfig(n_modes=n_modes), 1.0, nu))
     scale = _auto_coupling_scale(modes, 1.0, tau, nu)
     return DiscretizedModes(omega=modes.omega, g=modes.g * math.sqrt(scale)), tau
 
@@ -319,7 +373,7 @@ def test_series_loss_departs_from_the_g2_sum_linearly_in_the_coupling(eta, nu, n
 
 def _wide_band_modes(n_modes):
     """Weakly coupled modes over (0, 57) at omega0 = 1 and tau = 100, where
-    the series runs to K = 3033."""
+    the series runs to K = 3026."""
     modes = discretize_reservoir(_desk_reservoir(3), OracleConfig(n_modes=n_modes,
                                                                   band=(0.0, 57.0)))
     return DiscretizedModes(omega=modes.omega, g=1e-3 * modes.g), 100.0
@@ -342,7 +396,7 @@ def test_rk4_memory_stays_linear():
 
 
 def test_rk4_memory_stays_linear_on_a_long_series():
-    # K = 3033: the giant-step rows grow with K, and the chunks shrink to
+    # K = 3026: the giant-step rows grow with K, and the chunks shrink to
     # keep them in the budget; the rows of all the modes at once would
     # take 18 MB
     modes, tau = _wide_band_modes(20_000)
@@ -385,23 +439,16 @@ def _kpm_moments(delta, g, center, radius, order):
     return nu[:order + 1]
 
 
-def _series_interval(delta, g):
-    """center and radius of H's spectrum by _survival_series's rule."""
-    norm = float(np.linalg.norm(g))
-    lo = min(0.0, float(delta.min())) - norm
-    hi = max(0.0, float(delta.max())) + norm
-    return 0.5 * (lo + hi), max(0.5 * (hi - lo), 1e-300)
-
-
 def _series_order(modes, tau):
     """K, the order of the propagator's Chebyshev series at omega0 = 1."""
-    return len(_propagator_series(tau, *_series_interval(modes.omega - 1.0, modes.g))) - 1
+    center, radius, _ = _spectrum_interval(modes.omega - 1.0, modes.g, 1.0)
+    return len(_propagator_series(tau, center, radius)[0]) - 1
 
 
 def _assert_moments_match(delta, g, order):
-    center, radius = _series_interval(delta, g)
+    center, radius, grain = _spectrum_interval(delta, g, 1.0)
     want = _kpm_moments(delta, g, center, radius, order)
-    got = _arrowhead_moments(delta, g, center, radius, order)
+    got = _arrowhead_moments(delta, g, center, radius, order, grain)
     assert got.shape == (order + 1,)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want), initial=0.0)
 
@@ -422,6 +469,83 @@ def test_arrowhead_moments_match_the_vector_recurrence_with_the_atom_below_the_b
     delta = np.array([1.07, 1.78, 1.33, 0.99, 2.03])
     g = np.array([-1.5e-2, 0.0, -1.8e-3, 0.0, 2.2e-2])
     _assert_moments_match(delta, g, order)
+
+
+def _lone_modes(delta, g):
+    """The modes that _mirror_pairs leaves unpaired, and the folded nodes."""
+    center, radius, grain = _spectrum_interval(delta, g, 1.0)
+    lone = []
+    nodes = sum(len(y) for y, _, _ in _mirror_pairs(delta, g, center, radius, grain, 512, lone))
+    return (len(np.concatenate(lone)) if lone else 0), nodes
+
+
+def _fold_case(case):
+    """(delta, g, tau) at omega0 = 1: an oracle grid, rearranged or moved."""
+    modes, tau = _desk_modes(3, 1e-2, 2001 if case == "odd" else 2000)
+    omega, g = modes.omega, modes.g
+    if case == "reversed":
+        omega, g = omega[::-1], g[::-1]
+    elif case == "shuffled":
+        order = np.random.default_rng(0).permutation(len(omega))
+        omega, g = omega[order], g[order]
+    elif case == "atom-outside":
+        # the same modes above the atom: the spectrum's center is not the band's
+        omega = omega + 2.0
+    elif case == "nudged":
+        # every other mode of the upper half 1e-9 off its mirror, far more
+        # than the frequencies' rounding
+        omega = omega.copy()
+        omega[1000::2] += 1e-9
+    return omega - 1.0, g, tau
+
+
+@pytest.mark.parametrize("case, lone", [("even", 0), ("odd", 0), ("reversed", 0),
+                                        ("shuffled", None), ("atom-outside", 2000),
+                                        ("nudged", 1000)])
+def test_folded_moments_match_the_vector_recurrence(case, lone):
+    # mirrored modes fold into one node, the rest pass through on their
+    # own; either way the moments are the unfolded vector recurrence's
+    delta, g, tau = _fold_case(case)
+    got_lone, _ = _lone_modes(delta, g)
+    if lone is None:
+        assert got_lone > 0.9 * len(delta)
+    else:
+        assert got_lone == lone
+    center, radius, _ = _spectrum_interval(delta, g, 1.0)
+    _assert_moments_match(delta, g, len(_propagator_series(tau, center, radius)[0]) - 1)
+
+
+def test_folded_moments_on_a_narrow_band_are_those_of_the_mirrored_grid():
+    # at nu = 1e-6 the modes' frequencies round at 1e3 eps of the band's
+    # width, and the modes miss their mirrors by up to 999 eps in d.  The
+    # fold puts each upper mode on its partner's mirror, within grain: its
+    # moments are the vector recurrence's on that grid, and its -ln P lies
+    # within 1e-10 of dense eigh on the grid as given (2e-11 measured)
+    modes, tau = _desk_modes(3, 1e-6, 2000)
+    delta, g = modes.omega - 1.0, modes.g
+    assert _lone_modes(delta, g) == (0, 1000)
+    center, radius, grain = _spectrum_interval(delta, g, 1.0)
+    order = len(_propagator_series(tau, center, radius)[0]) - 1
+    mirrored = delta.copy()
+    mirrored[:999:-1] = 2.0 * center - delta[:1000]
+    assert np.max(np.abs(mirrored - delta)) <= grain
+    want = _kpm_moments(mirrored, g, center, radius, order)
+    got = _arrowhead_moments(delta, g, center, radius, order, grain)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    p = _survival_series(modes, 1.0, tau).probability
+    assert -math.log(p) == pytest.approx(-math.log(_dense_survival(modes, 1.0, tau)),
+                                         rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("nu", [1e-6, 1e-4, 1e-2, 1.0])
+@pytest.mark.parametrize("n_modes", [2000, 2001, 10_000])
+def test_the_oracle_grids_fold_every_mode(n_modes, nu):
+    # the band's midpoint is the spectrum's center, and each mode mirrors
+    # another about it within the frequencies' rounding: at nu = 1e-6 they
+    # miss by about 1e3 eps in d, 8 ulps of omega0 over the radius are 8e3
+    modes = discretize_reservoir(_desk_reservoir(3),
+                                 _with_band(OracleConfig(n_modes=n_modes), 1.0, nu))
+    assert _lone_modes(modes.omega - 1.0, modes.g) == (0, (n_modes + 1) // 2)
 
 
 @st.composite
